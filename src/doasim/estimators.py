@@ -17,6 +17,8 @@ from .manifold import ArrayManifold, steering_matrix
 
 # spectrum denominators are clamped here before inversion
 _DENOM_FLOOR = 1e-300
+# grid points this far outside +-fov still belong to the pick window
+_FOV_TOL = 1e-12
 
 
 class RankError(ValueError):
@@ -28,6 +30,25 @@ def azimuth_grid(step_deg: float = 0.01, fov_deg: float = 90.0) -> np.ndarray:
     if step_deg <= 0 or fov_deg <= 0 or fov_deg > 90:
         raise ValueError(f"bad grid spec: step {step_deg}, fov {fov_deg}")
     return np.linspace(-fov_deg, fov_deg, round(2.0 * fov_deg / step_deg) + 1)
+
+
+def fov_window(grid: np.ndarray, fov_deg: float, guard: int = 0) -> slice:
+    """Index range of the grid points with |phi| <= fov, the ones pick_peaks
+    examines, widened by `guard` points per side and clipped to the grid.
+
+    A spectrum scanned only over fov_window(grid, fov, guard=1) yields the
+    same picks as a scan of the whole grid: the window values are the same,
+    and the guard points are the outer neighbours that the parabolic
+    refinement of a peak on the window edge reads.
+    """
+    lo, hi = np.searchsorted(grid, [-fov_deg - _FOV_TOL, fov_deg + _FOV_TOL])
+    return slice(max(int(lo) - guard, 0), min(int(hi) + guard, len(grid)))
+
+
+def fov_window_size(step_deg: float, fov_deg: float) -> int:
+    """How many points of azimuth_grid(step_deg) lie in the +-fov pick window."""
+    window = fov_window(azimuth_grid(step_deg), fov_deg)
+    return window.stop - window.start
 
 
 def _check_hermitian(r: np.ndarray) -> np.ndarray:
@@ -219,8 +240,8 @@ def pick_peaks(spectrum: Pseudospectrum, count: int,
         raise ValueError(f"count must be >= 1, got {count}")
     if fov_deg <= 0 or fov_deg > float(min(-grid[0], grid[-1])):
         raise ValueError(f"fov {fov_deg} exceeds grid extent")
-    lo, hi = np.searchsorted(grid, [-fov_deg - 1e-12, fov_deg + 1e-12])
-    w = vals[lo:hi]
+    window = fov_window(grid, fov_deg)
+    lo, w = window.start, vals[window]
     if w.size < count:
         raise ValueError(f"window has {w.size} points, cannot place {count} estimates")
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimators import (DoaEstimateSet, Pseudospectrum, azimuth_grid,
-                         coarray_music, music_pseudospectrum, pick_peaks,
-                         virtual_steering)
+                         coarray_music, fov_window, fov_window_size,
+                         music_pseudospectrum, pick_peaks, virtual_steering)
 from .geometry import ArrayGeometry, GeometryError, is_perfect, named_geometry
 from .manifold import (ArrayManifold, SourceScenario, apply_coupling_model,
                        generate_snapshots, make_manifold, sample_covariance,
@@ -38,6 +38,13 @@ ESTIMATORS = ("element-music", "coarray-music")
 ETA_0 = 376.730
 
 _OVERLOADED_ANGLES = (-54.0, -42.0, -30.0, -18.0, -6.0, 6.0, 18.0, 30.0, 42.0, 54.0)
+
+# A trial scans whole blocks of this many full-grid columns. BLAS computes
+# the last (n mod kernel width) columns of a matrix product on a separate
+# path, so a scan cut at any column would differ from a full-grid scan in
+# the last bits of its final columns; aligned blocks keep every column on
+# the path it takes in the full scan, for kernel widths dividing 16.
+_SCAN_BLOCK = 16
 
 
 class ConfigError(ValueError):
@@ -169,6 +176,13 @@ class ExperimentConfig:
             if any(abs(a) > self.fov_deg for a in self.angles):
                 raise ConfigError("key 'angles': must lie within the field of view",
                                   "angles")
+
+        need = max(3, self.source_count)
+        have = fov_window_size(self.grid_step_deg, self.fov_deg)
+        if have < need:
+            raise ConfigError(f"key 'grid_step_deg': the +-{self.fov_deg:g} deg pick "
+                              f"window of a {self.grid_step_deg:g} deg grid holds "
+                              f"{have} points, need at least {need}", "grid_step_deg")
 
         # estimator/geometry compatibility, checked before any trial runs
         geom = self.resolve_geometry()
@@ -359,7 +373,13 @@ class SweepResult:
 
 
 class _TrialEngine:
-    """Shared per-trial machinery with precomputed steering tables."""
+    """Shared per-trial machinery with precomputed steering tables.
+
+    The scan covers only the +-fov pick window plus one guard point per side,
+    widened to whole _SCAN_BLOCK blocks and sliced out of azimuth_grid(step),
+    so that every spectrum value in it, and with it every estimate, is
+    bit-identical to a scan of the whole grid.
+    """
 
     def __init__(self, config: ExperimentConfig):
         self.cfg = config
@@ -367,7 +387,11 @@ class _TrialEngine:
         pattern = config.nominal_pattern()
         self.nominal = make_manifold(self.geometry, pattern)
         self.perturbation = config.perturbation()
-        self.grid = azimuth_grid(config.grid_step_deg)
+        grid = azimuth_grid(config.grid_step_deg)
+        window = fov_window(grid, config.fov_deg, guard=1)
+        start = window.start - window.start % _SCAN_BLOCK
+        stop = min(window.stop + (-window.stop) % _SCAN_BLOCK, grid.size)
+        self.grid = grid[start:stop]
         if config.estimator == "coarray-music":
             self.steering = virtual_steering(self.geometry.aperture, self.grid)
         else:
@@ -402,18 +426,22 @@ class _TrialEngine:
         return ps, pick_peaks(ps, l, cfg.fov_deg)
 
 
-def run_point(config: ExperimentConfig, point_index: int,
-              threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def run_point(config: ExperimentConfig, point_index: int, threads: int = 1, *,
+              engine: _TrialEngine | None = None) -> tuple[np.ndarray, np.ndarray]:
     """All trials for one sweep point.
 
     Returns (per-trial RMSE array, per-trial fill counts), in trial order;
     bit-identical for any thread count because every trial owns a stream
-    keyed by (seed, point index, trial index).
+    keyed by (seed, point index, trial index). `engine` lets a sweep share
+    one engine, built for the same config, across its points.
     """
     points = config.points
     if not 0 <= point_index < len(points):
         raise ValueError(f"point_index {point_index} out of range 0..{len(points) - 1}")
-    engine = _TrialEngine(config)
+    if engine is None:
+        engine = _TrialEngine(config)
+    elif engine.cfg != config:
+        raise ValueError("engine was built for a different config")
     scenario = config.scenario_at(points[point_index])
     truth = scenario.angles
 
@@ -437,9 +465,10 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     The point RMSE pools squared errors across trials:
     sqrt(mean_t(rmse_t^2)), so every source of every trial weighs equally.
     """
+    engine = _TrialEngine(config)
     params, rmses, counts, fills = [], [], [], []
     for i, p in enumerate(config.points):
-        errs, fill = run_point(config, i, threads=threads)
+        errs, fill = run_point(config, i, threads=threads, engine=engine)
         params.append(p)
         rmses.append(float(np.sqrt(np.mean(errs ** 2))))
         counts.append(config.trials)
@@ -453,13 +482,15 @@ def run_overloaded_demo(config: ExperimentConfig) -> tuple[Pseudospectrum, DoaEs
     """Single-realization demonstration, typically more sources than elements.
 
     Runs one trial (point 0, trial 0 of the master seed) and returns the
-    pseudospectrum with the picked estimates for plotting.
+    pseudospectrum with the picked estimates for plotting. The spectrum
+    covers +-fov plus one guard point per side (the whole grid at fov 90).
     """
     if config.family != "overloaded-demo":
         raise ConfigError(f"key 'family': run_overloaded_demo needs family "
                           f"'overloaded-demo', got {config.family!r}", "family")
-    engine = _TrialEngine(config)
-    return engine.run_trial(config.scenario_at(0.0), 0, 0)
+    spectrum, estimates = _TrialEngine(config).run_trial(config.scenario_at(0.0), 0, 0)
+    window = fov_window(spectrum.grid, config.fov_deg, guard=1)
+    return Pseudospectrum(spectrum.grid[window], spectrum.values[window]), estimates
 
 
 @dataclass(frozen=True)

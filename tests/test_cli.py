@@ -3,6 +3,7 @@ import pytest
 
 from doasim.cli import main
 from doasim.config import read_results
+from doasim.estimators import azimuth_grid, fov_window
 from doasim.patterns import evaluate, load_tabulated, make_vivaldi
 
 SWEEP_CONF = """\
@@ -69,6 +70,18 @@ def test_sweep_bad_config_exits_2(tmp_path, capsys):
     assert "unknown_key" in capsys.readouterr().err
 
 
+def test_sweep_too_coarse_grid_exits_2(tmp_path, capsys):
+    # the +-10 deg window of a 25 deg grid holds no point; caught at parse
+    # time, before any trial runs
+    conf = tmp_path / "coarse.conf"
+    conf.write_text(SWEEP_CONF.replace("grid_step_deg = 0.5",
+                                       "grid_step_deg = 25\nfov_deg = 10"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
+    assert "grid_step_deg" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_missing_config_exits_2(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "nope.conf"),
                  "--out", str(tmp_path)]) == 2
@@ -91,6 +104,22 @@ def test_demo_outputs(tmp_path):
     for line in spectrum[2:5] + estimates[2:5]:
         for cell in line.split(","):
             float(cell)
+
+
+@pytest.mark.parametrize("fov", [60.0, 90.0])
+def test_demo_spectrum_covers_fov_window(tmp_path, fov):
+    # +-fov plus one guard point per side; the whole grid at fov 90
+    conf = tmp_path / "ten.conf"
+    conf.write_text(DEMO_CONF + f"fov_deg = {fov}\n")
+    assert main(["demo", "--config", str(conf), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "ten_spectrum.csv").read_text().splitlines()[2:]
+    azimuths = np.array([float(row.split(",")[0]) for row in rows])
+    grid = azimuth_grid(0.1)
+    expected = grid[fov_window(grid, fov, guard=1)]
+    assert np.array_equal(azimuths, expected)
+    edge = 60.1 if fov < 90 else 90.0
+    assert azimuths[[0, -1]] == pytest.approx([-edge, edge], abs=1e-9)
+    assert azimuths.size == (1203 if fov < 90 else 1801)
 
 
 def test_demo_on_sweep_config_exits_2(tmp_path):

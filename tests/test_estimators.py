@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from doasim.estimators import (DoaEstimateSet, Pseudospectrum, RankError,
                                azimuth_grid, coarray_covariance, coarray_music,
-                               hermitian_eig, music_pseudospectrum, pick_peaks,
-                               virtual_steering)
+                               fov_window, fov_window_size, hermitian_eig,
+                               music_pseudospectrum, pick_peaks, virtual_steering)
 from doasim.geometry import ArrayGeometry, GeometryError, make_mra, make_ula
 from doasim.manifold import (SourceScenario, generate_snapshots, make_manifold,
                              sample_covariance, steering_matrix, steering_vector)
@@ -162,6 +163,45 @@ def test_pick_peaks_validation():
         pick_peaks(ps, 0)
     with pytest.raises(ValueError):
         pick_peaks(ps, 1, fov_deg=120.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(step=st.floats(0.05, 6.0), fov=st.floats(0.01, 90.0),
+       count=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       levels=st.sampled_from([0, 2, 4]))
+def test_pick_peaks_on_fov_window_matches_full_grid(step, fov, count, seed, levels):
+    # a spectrum known only on the window plus one guard point per side
+    # picks exactly what the whole-grid spectrum picks; few value levels
+    # make plateaus and ties between candidate maxima
+    grid = azimuth_grid(step)
+    rng = np.random.default_rng(seed)
+    vals = (rng.integers(1, levels + 1, grid.size).astype(float) if levels
+            else np.exp(rng.normal(0.0, 3.0, grid.size)))
+    window = fov_window(grid, fov, guard=1)
+    assume(window.stop - window.start >= 3)  # smallest valid Pseudospectrum
+    windowed = _spectrum(grid[window], vals[window])
+    try:
+        expected = pick_peaks(_spectrum(grid, vals), count, fov)
+    except ValueError:
+        with pytest.raises(ValueError):
+            pick_peaks(windowed, count, fov)
+        return
+    assert pick_peaks(windowed, count, fov) == expected
+
+
+def test_fov_window_bounds():
+    grid = azimuth_grid(0.5)
+    inner = fov_window(grid, 30.0)
+    assert (grid[inner.start], grid[inner.stop - 1]) == (-30.0, 30.0)
+    guarded = fov_window(grid, 30.0, guard=1)
+    assert (grid[guarded.start], grid[guarded.stop - 1]) == (-30.5, 30.5)
+    # off-grid fov: the window ends on the last points inside it
+    w = fov_window(grid, 30.2)
+    assert (grid[w.start], grid[w.stop - 1]) == (-30.0, 30.0)
+    # the guard is clipped at the grid ends, so fov 90 keeps the whole grid
+    assert fov_window(grid, 90.0, guard=1) == slice(0, grid.size)
+    assert fov_window_size(0.5, 30.0) == 121
+    assert fov_window_size(25.0, 10.0) == 0
 
 
 def test_pseudospectrum_validation():

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from doasim.experiments import (ConfigError, ExperimentConfig, LinkBudget,
-                                SweepResult, range_ratio, required_snr_for_rmse,
-                                rmse, run_overloaded_demo, run_point, run_sweep,
-                                snr_to_range)
+from doasim import experiments
+from doasim.estimators import (azimuth_grid, coarray_music, fov_window,
+                               music_pseudospectrum, pick_peaks)
+from doasim.experiments import (ESTIMATORS, ConfigError, ExperimentConfig,
+                                LinkBudget, SweepResult, range_ratio,
+                                required_snr_for_rmse, rmse, run_overloaded_demo,
+                                run_point, run_sweep, snr_to_range)
+from doasim.manifold import generate_snapshots, sample_covariance
 
 from oracles import best_pairing_rmse
 
@@ -70,6 +74,21 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):  # grid must increase
         ExperimentConfig(family="snr-sweep", geometry="ula8",
                          pattern="isotropic", sweep=(0.0, 0.0))
+
+
+def test_config_rejects_too_coarse_grid():
+    # the +-10 deg window of a 25.7 deg grid holds no point at all
+    with pytest.raises(ConfigError, match="grid_step_deg"):
+        _tiny_config(grid_step_deg=25.0, fov_deg=10.0, angles=(-5.0, 5.0))
+    # 9 window points cannot hold 10 estimates
+    with pytest.raises(ConfigError, match="at least 10"):
+        _tiny_config(geometry="mra8", estimator="coarray-music", fov_deg=60.0,
+                     angles=tuple(np.linspace(-54.0, 54.0, 10)),
+                     grid_step_deg=15.0)
+    # three points (-90, 0, 90) are the fewest any scan accepts
+    assert _tiny_config(grid_step_deg=90.0, angles=(0.0,)).grid_step_deg == 90.0
+    with pytest.raises(ConfigError, match="holds 2 points"):
+        _tiny_config(grid_step_deg=180.0, angles=(0.0,))
 
 
 def test_config_estimator_compatibility():
@@ -146,6 +165,90 @@ def test_run_sweep_thread_count_invariant():
     serial = run_sweep(cfg, threads=1)
     threaded = run_sweep(cfg, threads=3)
     assert serial == threaded
+
+
+def _coupled_sweep(**overrides) -> ExperimentConfig:
+    base = dict(family="snr-sweep", geometry="ula8", pattern="patch",
+                angles=(-10.0, 10.0), sweep=(-6.0, 0.0, 6.0), trials=4,
+                snapshots=16, fov_deg=30.0, grid_step_deg=0.05, coupling_c1=0.2,
+                phase_noise_std_deg=5.0, param_tolerance=0.05, seed=9)
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_sweep_points_equal_separate_run_point_calls(monkeypatch, threads):
+    cfg = _coupled_sweep()
+    seen = {}
+    original = experiments.run_point
+
+    def recording(config, point_index, threads=1, **kwargs):
+        seen[point_index] = original(config, point_index, threads, **kwargs)
+        return seen[point_index]
+
+    monkeypatch.setattr(experiments, "run_point", recording)
+    result = run_sweep(cfg, threads=threads)
+    monkeypatch.undo()
+    assert sorted(seen) == [0, 1, 2]
+    for p in range(3):
+        errs, fills = run_point(cfg, p)
+        assert np.array_equal(seen[p][0], errs)
+        assert np.array_equal(seen[p][1], fills)
+        assert result.rmse_deg[p] == float(np.sqrt(np.mean(errs ** 2)))
+        assert result.fill_counts[p] == int(fills.sum())
+
+
+def test_run_sweep_builds_one_engine(monkeypatch):
+    built = []
+
+    class CountingEngine(experiments._TrialEngine):
+        def __init__(self, config):
+            built.append(config)
+            super().__init__(config)
+
+    monkeypatch.setattr(experiments, "_TrialEngine", CountingEngine)
+    run_sweep(_coupled_sweep(), threads=2)
+    assert len(built) == 1
+
+
+def test_run_point_rejects_engine_of_other_config():
+    engine = experiments._TrialEngine(_coupled_sweep())
+    with pytest.raises(ValueError, match="different config"):
+        run_point(_coupled_sweep(seed=10), 0, engine=engine)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize("fov", [30.0, 45.5, 90.0])
+@pytest.mark.parametrize("step", [0.01, 0.013, 0.07])
+def test_engine_window_scan_matches_full_grid(estimator, fov, step):
+    # the engine scans only blocks around the pick window with precomputed
+    # steering; the reference scans the whole grid and evaluates steering on
+    # the fly. Spectrum values must agree bit for bit, not just the picks.
+    cfg = ExperimentConfig(family="fixed-scenario", geometry="mra8",
+                           pattern="vivaldi", angles=(-21.3, 4.0, 17.5),
+                           snr_db=-3.0, snapshots=32, trials=3,
+                           estimator=estimator, fov_deg=fov, grid_step_deg=step,
+                           coupling_c1=0.1, phase_noise_std_deg=3.0, seed=4)
+    engine = experiments._TrialEngine(cfg)
+    scenario = cfg.scenario_at(0.0)
+    grid = azimuth_grid(step)
+    window = fov_window(grid, fov, guard=1)
+    for t in range(cfg.trials):
+        spectrum, est = engine.run_trial(scenario, 0, t)
+        pert_seq, snap_seq = np.random.SeedSequence([cfg.seed, 0, t]).spawn(2)
+        snaps = generate_snapshots(engine.data_manifold(pert_seq), scenario,
+                                   cfg.snapshots, np.random.default_rng(snap_seq))
+        r = sample_covariance(snaps)
+        if estimator == "coarray-music":
+            full = coarray_music(r, engine.geometry, 3, grid)
+        else:
+            full = music_pseudospectrum(r, engine.nominal, 3, grid)
+        start = int(np.searchsorted(grid, spectrum.grid[0]))
+        cols = slice(start, start + spectrum.grid.size)
+        assert cols.start <= window.start and cols.stop >= window.stop
+        assert np.array_equal(spectrum.grid, grid[cols])
+        assert np.array_equal(spectrum.values, full.values[cols])
+        assert est == pick_peaks(full, 3, fov)
 
 
 def test_run_point_trial_streams_differ():
