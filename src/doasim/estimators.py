@@ -8,6 +8,7 @@ nominal manifold a caller passes in; any mismatch lives in the data.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +152,33 @@ def music_pseudospectrum(r: np.ndarray, manifold: ArrayManifold, source_count: i
     return Pseudospectrum(grid, _spectrum(en, steering))
 
 
+@functools.lru_cache(maxsize=64)
+def _lag_table(geometry: ArrayGeometry) -> tuple[tuple, np.ndarray]:
+    """Flat (i, j) pair indices of every coarray lag, grouped by multiplicity.
+
+    Returns (groups, hankel): one group per pair multiplicity w, holding the
+    lag indices (lag + M) and their (lags, w) pair indices in row-major
+    order; hankel[i, k] = i + k indexes the sliding windows of the lags.
+    """
+    if not is_perfect(geometry):
+        raise GeometryError(f"geometry {geometry.name!r} has coarray holes; "
+                            "lag statistics would be incomplete")
+    n, m, pos = geometry.element_count, geometry.aperture, geometry.positions
+    pairs: list[list[int]] = [[] for _ in range(2 * m + 1)]
+    for i in range(n):
+        for j in range(n):
+            pairs[pos[i] - pos[j] + m].append(i * n + j)
+    by_weight: dict[int, list[int]] = {}
+    for lag, p in enumerate(pairs):
+        by_weight.setdefault(len(p), []).append(lag)
+    groups = tuple((np.array(lags), np.array([pairs[lag] for lag in lags]))
+                   for _, lags in sorted(by_weight.items()))
+    hankel = np.arange(m + 1)[:, None] + np.arange(m + 1)
+    for a in (hankel, *(x for g in groups for x in g)):
+        a.flags.writeable = False
+    return groups, hankel
+
+
 def coarray_covariance(r: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
     """Smoothed virtual-array covariance from difference-coarray statistics.
 
@@ -162,31 +190,58 @@ def coarray_covariance(r: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
 
     which is Hermitian PSD and plays the role of a covariance on a virtual
     ULA of M+1 elements. The geometry must be hole-free so every lag is
-    observed.
+    observed. The pair tables behind the lag averages are built once per
+    geometry.
     """
     r = _check_hermitian(r)
     n = geometry.element_count
     if r.shape[0] != n:
         raise ValueError(f"covariance size {r.shape[0]} != element count {n}")
-    if not is_perfect(geometry):
-        raise GeometryError(f"geometry {geometry.name!r} has coarray holes; "
-                            "lag statistics would be incomplete")
+    groups, hankel = _lag_table(geometry)
     m = geometry.aperture
-    pos = geometry.positions
+    flat = r.ravel()
     z = np.zeros(2 * m + 1, dtype=complex)
-    for lag in range(-m, m + 1):
-        pairs = [(i, j) for i in range(n) for j in range(n) if pos[i] - pos[j] == lag]
-        z[lag + m] = np.mean([r[i, j] for i, j in pairs])
-    windows = np.stack([z[k : k + m + 1] for k in range(m + 1)], axis=1)  # (M+1, M+1)
+    for lags, pairs in groups:
+        z[lags] = np.mean(flat[pairs], axis=1)
+    windows = z[hankel]  # (M+1, M+1)
     rss = windows @ windows.conj().T / (m + 1)
     return (rss + rss.conj().T) / 2.0
 
 
+@functools.lru_cache(maxsize=64)
+def _unitary_basis(size: int) -> np.ndarray:
+    """Unitary Q with Q^H R Q real for every centro-Hermitian R of this size:
+    [[I, jI], [J, -jJ]]/sqrt(2), with a sqrt(2) middle entry between the
+    blocks when the size is odd (J is the exchange matrix)."""
+    half = size // 2
+    eye, exch = np.eye(half), np.eye(half)[::-1]
+    q = np.zeros((size, size), dtype=complex)
+    q[:half, :half], q[:half, size - half:] = eye, 1j * eye
+    q[size - half:, :half], q[size - half:, size - half:] = exch, -1j * exch
+    if size % 2:
+        q[half, half] = np.sqrt(2.0)
+    q /= np.sqrt(2.0)
+    q.flags.writeable = False
+    return q
+
+
 def virtual_steering(aperture: int, azimuth_deg) -> np.ndarray:
-    """Steering of the virtual contiguous array: exp(-j*pi*k*sin(phi)), k=0..M."""
+    """Real steering table Q^H a(phi) of the virtual contiguous array.
+
+    a_k(phi) = exp(-j*pi*(k - M/2)*sin(phi)), k = 0..M, is the virtual-ULA
+    steering with its phase reference at the array midpoint, and Q is the
+    unitary basis coarray_music works in. With d = M/2 - k for
+    k < (M+1)//2, the rows are sqrt(2)*cos(pi*d*sin(phi)), then a row of
+    ones when M is even, then sqrt(2)*sin(pi*d*sin(phi)); shape (M+1, K).
+    """
     az = np.atleast_1d(np.asarray(azimuth_deg, dtype=float))
-    k = np.arange(aperture + 1, dtype=float)
-    return np.exp(-1j * np.pi * k[:, None] * np.sin(np.deg2rad(az))[None, :])
+    d = aperture / 2.0 - np.arange((aperture + 1) // 2)
+    phase = np.pi * d[:, None] * np.sin(np.deg2rad(az))[None, :]
+    rows = [np.sqrt(2.0) * np.cos(phase)]
+    if aperture % 2 == 0:
+        rows.append(np.ones((1, az.size)))
+    rows.append(np.sqrt(2.0) * np.sin(phase))
+    return np.concatenate(rows)
 
 
 def coarray_music(r: np.ndarray, geometry: ArrayGeometry, source_count: int,
@@ -195,7 +250,11 @@ def coarray_music(r: np.ndarray, geometry: ArrayGeometry, source_count: int,
     """MUSIC on the smoothed virtual-array covariance.
 
     Resolves up to aperture-many sources, which can exceed the physical
-    element count on sparse hole-free layouts.
+    element count on sparse hole-free layouts. R_ss is built from a
+    Hermitian Toeplitz lag sequence, so it is centro-Hermitian and
+    Re(Q^H R_ss Q) holds all of it in the unitary basis Q: the
+    eigendecomposition and the scan run in real arithmetic against the
+    real table of virtual_steering (Huarng & Yeh, IEEE TSP 39(4), 1991).
     """
     m = geometry.aperture
     if not 1 <= source_count <= m:
@@ -204,7 +263,8 @@ def coarray_music(r: np.ndarray, geometry: ArrayGeometry, source_count: int,
     if grid is None:
         grid = azimuth_grid()
     rss = coarray_covariance(r, geometry)
-    en = _noise_projection(rss, source_count, m + 1)
+    q = _unitary_basis(m + 1)
+    en = _noise_projection((q.conj().T @ rss @ q).real, source_count, m + 1)
     if steering is None:
         steering = virtual_steering(m, grid)
     elif steering.shape != (m + 1, grid.size):

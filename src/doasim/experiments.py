@@ -123,6 +123,35 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.geometry, list):
+            object.__setattr__(self, "geometry", tuple(self.geometry))
+        object.__setattr__(self, "sweep", tuple(float(s) for s in self.sweep))
+        if self.angles is not None:
+            object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        numbers = {
+            "manifold.coupling.c1": (self.coupling_c1,),
+            "manifold.coupling.decay": (self.coupling_decay,),
+            "manifold.perturbation.phase_noise_std_deg": (self.phase_noise_std_deg,),
+            "manifold.perturbation.param_tolerance": (self.param_tolerance,),
+            "snr_db": (self.snr_db,),
+            "fov_deg": (self.fov_deg,),
+            "grid_step_deg": (self.grid_step_deg,),
+            "sweep": self.sweep,
+            "angles": self.angles or (),
+        }
+        numbers.update({f"manifold.pattern.{k}": (v,) for k, v in self.pattern_params.items()
+                        if isinstance(v, (int, float))})
+        for key, values in numbers.items():
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"key {key!r}: must be finite, got "
+                                  f"{', '.join(map(repr, values))}", key)
+        # the bounds apply_coupling_model enforces, checked before any trial runs
+        if abs(self.coupling_c1) >= 1.0:
+            raise ConfigError(f"key 'manifold.coupling.c1': |c1| must be < 1, got "
+                              f"{self.coupling_c1}", "manifold.coupling.c1")
+        if not 0.0 < self.coupling_decay < 1.0:
+            raise ConfigError(f"key 'manifold.coupling.decay': must be in (0, 1), got "
+                              f"{self.coupling_decay}", "manifold.coupling.decay")
         if self.family not in FAMILIES:
             raise ConfigError(f"key 'family': unknown family {self.family!r}, "
                               f"expected one of {', '.join(FAMILIES)}", "family")
@@ -141,11 +170,6 @@ class ExperimentConfig:
                               "fov_deg")
         if self.grid_step_deg <= 0:
             raise ConfigError(f"key 'grid_step_deg': must be > 0", "grid_step_deg")
-        if isinstance(self.geometry, list):
-            object.__setattr__(self, "geometry", tuple(self.geometry))
-        object.__setattr__(self, "sweep", tuple(float(s) for s in self.sweep))
-        if self.angles is not None:
-            object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
 
         swept = self.family in ("symmetric-pair-angle-sweep", "snr-sweep")
         if swept and not self.sweep:

@@ -85,3 +85,19 @@ def naive_coarray_smoothed(r: np.ndarray, positions) -> np.ndarray:
         w = np.array([z[k - m + i] for i in range(m + 1)])
         out += np.outer(w, w.conj())
     return out / (m + 1)
+
+
+def loop_coarray_smoothed(r: np.ndarray, positions) -> np.ndarray:
+    """The original per-lag loop of coarray_covariance, kept as the
+    bit-for-bit reference of its table-driven lag averaging."""
+    r = np.asarray(r)
+    pos = list(positions)
+    n = len(pos)
+    m = max(pos)
+    z = np.zeros(2 * m + 1, dtype=complex)
+    for lag in range(-m, m + 1):
+        pairs = [(i, j) for i in range(n) for j in range(n) if pos[i] - pos[j] == lag]
+        z[lag + m] = np.mean([r[i, j] for i, j in pairs])
+    windows = np.stack([z[k : k + m + 1] for k in range(m + 1)], axis=1)
+    rss = windows @ windows.conj().T / (m + 1)
+    return (rss + rss.conj().T) / 2.0

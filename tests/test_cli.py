@@ -82,6 +82,36 @@ def test_sweep_too_coarse_grid_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def _with_key(conf: str, key: str, value: str) -> str:
+    lines = [ln for ln in conf.splitlines() if ln.partition("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("manifold.coupling.c1", "1.5"),
+    ("manifold.coupling.c1", "NaN"),
+    ("manifold.coupling.decay", "1.0"),
+    ("manifold.coupling.decay", "0"),
+    ("manifold.perturbation.phase_noise_std_deg", "Infinity"),
+    ("manifold.perturbation.param_tolerance", "NaN"),
+    ("snr_db", "NaN"),
+    ("fov_deg", "NaN"),
+    ("grid_step_deg", "Infinity"),
+    ("sweep", "[-5, NaN]"),
+    ("angles", "[-10, -Infinity]"),
+    ("manifold.pattern.peak_gain_dbi", "NaN"),
+])
+def test_sweep_invalid_scalar_exits_2(tmp_path, capsys, key, value):
+    # rejected at parse time, naming the key, before any trial runs
+    conf = tmp_path / "bad.conf"
+    text = SWEEP_CONF.replace("manifold.pattern = isotropic", "manifold.pattern = patch")
+    conf.write_text(_with_key(text, key, value))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_missing_config_exits_2(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "nope.conf"),
                  "--out", str(tmp_path)]) == 2

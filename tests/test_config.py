@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +136,14 @@ def test_config_unparsed_value_is_string():
     with pytest.raises(ConfigError):
         parse_config_text("family = fixed-scenario\ngeometry = ula8\n"
                           "manifold.pattern = isotropic\ntrials = \"12\"\n")
+
+
+@pytest.mark.parametrize("name, fingerprint", [
+    ("angle_sweep.conf", "2b8210ccdc7a888e"),
+    ("overloaded.conf", "289d10608e26503e"),
+    ("snr_sweep.conf", "9ae5debb69566b61"),
+])
+def test_shipped_config_fingerprints_are_stable(name, fingerprint):
+    # stricter validation must not change what a valid config hashes to
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    assert parse_config(configs / name).fingerprint() == fingerprint

@@ -5,13 +5,15 @@ from hypothesis import assume, given, settings, strategies as st
 from doasim.estimators import (DoaEstimateSet, Pseudospectrum, RankError,
                                azimuth_grid, coarray_covariance, coarray_music,
                                fov_window, fov_window_size, hermitian_eig,
-                               music_pseudospectrum, pick_peaks, virtual_steering)
-from doasim.geometry import ArrayGeometry, GeometryError, make_mra, make_ula
+                               music_pseudospectrum, pick_peaks, virtual_steering,
+                               _unitary_basis)
+from doasim.geometry import (ArrayGeometry, GeometryError, make_mra, make_ula,
+                             named_geometry)
 from doasim.manifold import (SourceScenario, generate_snapshots, make_manifold,
                              sample_covariance, steering_matrix, steering_vector)
 from doasim.patterns import make_isotropic, make_patch
 
-from oracles import naive_coarray_smoothed
+from oracles import loop_coarray_smoothed, naive_coarray_smoothed
 
 
 def _iso(geometry):
@@ -276,13 +278,67 @@ def test_coarray_music_overloaded_capacity():
     assert len(est.angles) == 10
 
 
+def _centred_steering(aperture, az):
+    k = np.arange(aperture + 1) - aperture / 2.0
+    return np.exp(-1j * np.pi * k[:, None] * np.sin(np.deg2rad(az))[None, :])
+
+
 def test_virtual_steering_structure():
     v = virtual_steering(23, np.array([0.0]))
-    assert v.shape == (24, 1)
-    assert np.allclose(v, 1.0)
-    v30 = virtual_steering(3, np.array([30.0]))[:, 0]
-    assert abs(v30[1] - (-1.0j)) < 1e-12
-    assert abs(v30[2] - (-1.0)) < 1e-12
+    assert v.shape == (24, 1) and v.dtype == np.float64
+    assert np.allclose(v[:12], np.sqrt(2.0)) and np.all(v[12:] == 0.0)
+    # an even aperture has a middle row of ones
+    v6 = virtual_steering(6, np.array([-40.0, 0.0, 30.0]))
+    assert v6.shape == (7, 3)
+    assert np.all(v6[3] == 1.0)
+    az = np.linspace(-90.0, 90.0, 37)
+    for aperture in (1, 2, 3, 6, 23):
+        q = _unitary_basis(aperture + 1)
+        assert np.allclose(q.conj().T @ q, np.eye(aperture + 1), atol=1e-15)
+        assert np.allclose(q @ virtual_steering(aperture, az),
+                           _centred_steering(aperture, az), atol=1e-12)
+
+
+@pytest.mark.parametrize("name, sources", [("ula3", 1), ("mra3", 2),
+                                           ("mra4", 4), ("mra8", 10)])
+def test_coarray_music_unitary_basis_identity(name, sources):
+    # the real-basis spectrum is the complex MUSIC spectrum on the smoothed
+    # covariance, scanned with the plain uncentred virtual steering
+    geom = named_geometry(name)
+    m = geom.aperture
+    angles = tuple(np.linspace(-50.0, 50.0, sources)) if sources > 1 else (17.0,)
+    sc = SourceScenario(angles, 10.0)
+    r = sample_covariance(generate_snapshots(_iso(geom), sc, 2000, 8))
+    grid = azimuth_grid(0.05)
+    got = coarray_music(r, geom, sources, grid)
+
+    rss = coarray_covariance(r, geom)
+    _, vecs = np.linalg.eigh(rss)
+    en = vecs[:, : m + 1 - sources]
+    k = np.arange(m + 1)
+    a = np.exp(-1j * np.pi * k[:, None] * np.sin(np.deg2rad(grid))[None, :])
+    want = 1.0 / np.sum(np.abs(en.conj().T @ a) ** 2, axis=0)
+    assert np.allclose(got.values, want, rtol=1e-9, atol=0.0)
+    p_got, p_want = pick_peaks(got, sources), pick_peaks(Pseudospectrum(grid, want), sources)
+    assert np.allclose(p_got.angles, p_want.angles, rtol=0.0, atol=1e-9)
+    assert (p_got.filled, p_got.peaks_found) == (p_want.filled, p_want.peaks_found)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from([f"ula{n}" for n in range(2, 17)]
+                            + [f"mra{n}" for n in range(2, 9)]),
+       seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-3.0, 3.0))
+def test_coarray_covariance_property(name, seed, log_scale):
+    # random Hermitian input, not necessarily PSD, on any hole-free catalog layout
+    geom = named_geometry(name)
+    n = geom.element_count
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 10.0 ** log_scale
+    r = (x + x.conj().T) / 2.0
+    got = coarray_covariance(r, geom)
+    assert np.array_equal(got, loop_coarray_smoothed(r, geom.positions))
+    want = naive_coarray_smoothed(r, geom.positions)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
 def test_azimuth_grid_defaults():

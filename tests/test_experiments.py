@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from doasim import experiments
+from doasim import estimators, experiments
 from doasim.estimators import (azimuth_grid, coarray_music, fov_window,
                                music_pseudospectrum, pick_peaks)
 from doasim.experiments import (ESTIMATORS, ConfigError, ExperimentConfig,
@@ -209,6 +209,24 @@ def test_run_sweep_builds_one_engine(monkeypatch):
     monkeypatch.setattr(experiments, "_TrialEngine", CountingEngine)
     run_sweep(_coupled_sweep(), threads=2)
     assert len(built) == 1
+
+
+def test_coarray_run_point_checks_geometry_at_most_once(monkeypatch):
+    # the hole-free check belongs to the geometry's lag table, not to each trial
+    cfg = _tiny_config(geometry="mra4", estimator="coarray-music", trials=6)
+    calls = []
+    original = estimators.is_perfect
+
+    def counting(geometry):
+        calls.append(geometry)
+        return original(geometry)
+
+    monkeypatch.setattr(estimators, "is_perfect", counting)
+    monkeypatch.setattr(experiments, "is_perfect", counting)
+    estimators._lag_table.cache_clear()
+    run_point(cfg, 0)
+    run_point(cfg, 0)
+    assert len(calls) <= 1
 
 
 def test_run_point_rejects_engine_of_other_config():
