@@ -126,7 +126,12 @@ def _noise_projection(r: np.ndarray, source_count: int, dim: int) -> np.ndarray:
 
 def _spectrum(noise_vecs: np.ndarray, steering: np.ndarray) -> np.ndarray:
     proj = noise_vecs.conj().T @ steering
-    denom = np.einsum("ij,ij->j", proj, proj.conj()).real
+    if np.iscomplexobj(proj):
+        # |z|^2 summed down the columns, without a conjugate copy; the same
+        # values as the einsum bit for bit
+        denom = np.sum(np.square(proj.real) + np.square(proj.imag), axis=0)
+    else:
+        denom = np.einsum("ij,ij->j", proj, proj)
     return 1.0 / np.maximum(denom, _DENOM_FLOOR)
 
 

@@ -18,6 +18,7 @@ import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,10 +26,12 @@ from .estimators import (DoaEstimateSet, Pseudospectrum, azimuth_grid,
                          coarray_music, fov_window, fov_window_size,
                          music_pseudospectrum, pick_peaks, virtual_steering)
 from .geometry import ArrayGeometry, GeometryError, is_perfect, named_geometry
-from .manifold import (ArrayManifold, SourceScenario, apply_coupling_model,
-                       generate_snapshots, make_manifold, sample_covariance,
-                       steering_matrix)
-from .patterns import PatternError, PatternPerturbation, make_pattern, perturb
+from .manifold import (SourceScenario, apply_coupling_model, generate_snapshots,
+                       make_manifold, phase_ramp, sample_covariance, steering_matrix)
+# perturb is not called here; it stays in this namespace for callers that
+# look it up through experiments, such as perfbench/tracing.py
+from .patterns import (ElementPattern, PatternError, PatternPerturbation, TableError,
+                       evaluate, make_pattern, perturb, perturbed_gains)
 
 FAMILIES = ("symmetric-pair-angle-sweep", "snr-sweep", "fixed-scenario",
             "overloaded-demo")
@@ -152,6 +155,15 @@ class ExperimentConfig:
         if not 0.0 < self.coupling_decay < 1.0:
             raise ConfigError(f"key 'manifold.coupling.decay': must be in (0, 1), got "
                               f"{self.coupling_decay}", "manifold.coupling.decay")
+        # the bounds PatternPerturbation enforces
+        if self.phase_noise_std_deg < 0.0:
+            raise ConfigError(f"key 'manifold.perturbation.phase_noise_std_deg': must be "
+                              f">= 0, got {self.phase_noise_std_deg}",
+                              "manifold.perturbation.phase_noise_std_deg")
+        if not 0.0 <= self.param_tolerance < 1.0:
+            raise ConfigError(f"key 'manifold.perturbation.param_tolerance': must be in "
+                              f"[0, 1), got {self.param_tolerance}",
+                              "manifold.perturbation.param_tolerance")
         if self.family not in FAMILIES:
             raise ConfigError(f"key 'family': unknown family {self.family!r}, "
                               f"expected one of {', '.join(FAMILIES)}", "family")
@@ -189,6 +201,10 @@ class ExperimentConfig:
             if any(not 0 < h <= self.fov_deg for h in self.sweep):
                 raise ConfigError("key 'sweep': half-angles must be in (0, fov]",
                                   "sweep")
+            if self.grid_step_deg > self.sweep[0]:
+                raise ConfigError(f"key 'grid_step_deg': step {self.grid_step_deg:g} deg "
+                                  f"exceeds the smallest swept half-angle "
+                                  f"{self.sweep[0]:g} deg", "grid_step_deg")
         elif self.angles is None:
             default = _OVERLOADED_ANGLES if self.family == "overloaded-demo" \
                 else (-10.0, 10.0)
@@ -223,12 +239,20 @@ class ExperimentConfig:
                 raise ConfigError(f"coarray-music on {geom.name!r} handles at most "
                                   f"{geom.aperture} sources, scenario has {l}",
                                   "estimator")
-        if self.pattern != "tabulated":
-            # eager parameter validation; tabulated defers to file load
-            make_pattern(self.pattern, **self.pattern_params)
-        elif "file" not in self.pattern_params:
-            raise ConfigError("key 'manifold.pattern.file': required for tabulated "
-                              "pattern", "manifold.pattern.file")
+        if self.pattern == "tabulated":
+            if "file" not in self.pattern_params:
+                raise ConfigError("key 'manifold.pattern.file': required for tabulated "
+                                  "pattern", "manifold.pattern.file")
+            try:
+                pattern = make_pattern(self.pattern, **self.pattern_params)
+            except (TableError, OSError) as exc:
+                raise ConfigError(f"key 'manifold.pattern.file': {exc}",
+                                  "manifold.pattern.file") from None
+        else:
+            pattern = make_pattern(self.pattern, **self.pattern_params)
+        # validated once here; a tabulated pattern keeps the rows read here,
+        # which the fingerprint hashes
+        object.__setattr__(self, "_pattern", pattern)
 
     @property
     def source_count(self) -> int:
@@ -255,8 +279,8 @@ class ExperimentConfig:
         except GeometryError as exc:
             raise ConfigError(f"key 'geometry': {exc}", "geometry") from None
 
-    def nominal_pattern(self):
-        return make_pattern(self.pattern, **self.pattern_params)
+    def nominal_pattern(self) -> ElementPattern:
+        return self._pattern
 
     def perturbation(self) -> PatternPerturbation:
         return PatternPerturbation(self.phase_noise_std_deg, self.param_tolerance)
@@ -345,8 +369,12 @@ class ExperimentConfig:
                               "manifold.pattern") from None
 
     def fingerprint(self) -> str:
-        """Stable short hash of the fully resolved configuration."""
-        text = json.dumps(self.to_mapping(), sort_keys=True)
+        """Stable short hash of the fully resolved configuration, including
+        the rows of a tabulated pattern, not only its path."""
+        mapping = self.to_mapping()
+        if self.pattern == "tabulated":
+            mapping["manifold.pattern.samples"] = self._pattern.samples
+        text = json.dumps(mapping, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -396,6 +424,17 @@ class SweepResult:
                    fingerprint=fingerprint, seed=seed)
 
 
+class _Point(NamedTuple):
+    """One sweep point: its scenario and the data-side constants its trials
+    share. `ramp` is the phase ramp at the source angles (N x L); `steering`
+    is the coupled data steering, fixed when nothing is perturbed."""
+
+    index: int
+    scenario: SourceScenario
+    ramp: np.ndarray
+    steering: np.ndarray | None
+
+
 class _TrialEngine:
     """Shared per-trial machinery with precomputed steering tables.
 
@@ -403,13 +442,18 @@ class _TrialEngine:
     widened to whole _SCAN_BLOCK blocks and sliced out of azimuth_grid(step),
     so that every spectrum value in it, and with it every estimate, is
     bit-identical to a scan of the whole grid.
+
+    The data side of a trial, perturbed patterns times the phase ramp, then
+    the coupling matrix, is built in one pass from the validated config; it
+    equals steering_matrix of the manifold that perturb, make_manifold and
+    apply_coupling_model give for the same streams, bit for bit.
     """
 
     def __init__(self, config: ExperimentConfig):
         self.cfg = config
         self.geometry = config.resolve_geometry()
-        pattern = config.nominal_pattern()
-        self.nominal = make_manifold(self.geometry, pattern)
+        self.pattern = config.nominal_pattern()
+        self.nominal = make_manifold(self.geometry, self.pattern)
         self.perturbation = config.perturbation()
         grid = azimuth_grid(config.grid_step_deg)
         window = fov_window(grid, config.fov_deg, guard=1)
@@ -424,25 +468,40 @@ class _TrialEngine:
                                        config.coupling_decay)
         self.coupling = coupled.coupling
 
-    def data_manifold(self, pert_seq: np.random.SeedSequence) -> ArrayManifold:
-        pats = self.nominal.element_patterns
-        p = self.perturbation
-        if p.phase_noise_std_deg > 0 or p.param_tolerance > 0:
-            children = pert_seq.spawn(len(pats))
-            pats = tuple(perturb(pat, p, np.random.default_rng(c))
-                         for pat, c in zip(pats, children))
-        return ArrayManifold(self.geometry, pats, self.coupling,
-                             self.nominal.label)
+    def _coupled(self, a: np.ndarray) -> np.ndarray:
+        return a if self.coupling is None else self.coupling @ a
 
-    def run_trial(self, scenario: SourceScenario, point_index: int,
+    def point(self, index: int) -> _Point:
+        """Sweep point `index` with its phase ramp and, when nothing is
+        perturbed, its data steering, computed once for all its trials."""
+        scenario = self.cfg.scenario_at(self.cfg.points[index])
+        ramp = phase_ramp(self.geometry, scenario.angles)
+        steering = None
+        if self.perturbation.is_zero:
+            steering = self._coupled(evaluate(self.pattern, scenario.angles) * ramp)
+        return _Point(index, scenario, ramp, steering)
+
+    def data_steering(self, point: _Point, pert_seq: np.random.SeedSequence) -> np.ndarray:
+        """The trial's data steering (N x L). A perturbed config draws one
+        pattern deviation per element from the children of `pert_seq`."""
+        if point.steering is not None:
+            return point.steering
+        rngs = [np.random.default_rng(c)
+                for c in pert_seq.spawn(self.geometry.element_count)]
+        gains = perturbed_gains(self.pattern, self.perturbation, rngs,
+                                point.scenario.angles)
+        return self._coupled(gains * point.ramp)
+
+    def run_trial(self, point: _Point,
                   trial_index: int) -> tuple[Pseudospectrum, DoaEstimateSet]:
         cfg = self.cfg
-        root = np.random.SeedSequence([cfg.seed, point_index, trial_index])
+        root = np.random.SeedSequence([cfg.seed, point.index, trial_index])
         pert_seq, snap_seq = root.spawn(2)
-        snaps = generate_snapshots(self.data_manifold(pert_seq), scenario,
-                                   cfg.snapshots, np.random.default_rng(snap_seq))
+        snaps = generate_snapshots(self.nominal, point.scenario, cfg.snapshots,
+                                   np.random.default_rng(snap_seq),
+                                   steering=self.data_steering(point, pert_seq))
         r = sample_covariance(snaps)
-        l = scenario.source_count
+        l = point.scenario.source_count
         if cfg.estimator == "coarray-music":
             ps = coarray_music(r, self.geometry, l, self.grid, self.steering)
         else:
@@ -466,11 +525,11 @@ def run_point(config: ExperimentConfig, point_index: int, threads: int = 1, *,
         engine = _TrialEngine(config)
     elif engine.cfg != config:
         raise ValueError("engine was built for a different config")
-    scenario = config.scenario_at(points[point_index])
-    truth = scenario.angles
+    point = engine.point(point_index)
+    truth = point.scenario.angles
 
     def one(t: int) -> tuple[float, int]:
-        _, est = engine.run_trial(scenario, point_index, t)
+        _, est = engine.run_trial(point, t)
         return rmse(est.angles, truth), est.fill_count
 
     if threads > 1:
@@ -512,7 +571,8 @@ def run_overloaded_demo(config: ExperimentConfig) -> tuple[Pseudospectrum, DoaEs
     if config.family != "overloaded-demo":
         raise ConfigError(f"key 'family': run_overloaded_demo needs family "
                           f"'overloaded-demo', got {config.family!r}", "family")
-    spectrum, estimates = _TrialEngine(config).run_trial(config.scenario_at(0.0), 0, 0)
+    engine = _TrialEngine(config)
+    spectrum, estimates = engine.run_trial(engine.point(0), 0)
     window = fov_window(spectrum.grid, config.fov_deg, guard=1)
     return Pseudospectrum(spectrum.grid[window], spectrum.values[window]), estimates
 

@@ -58,11 +58,17 @@ def make_manifold(geometry: ArrayGeometry, pattern, coupling=None,
     return ArrayManifold(geometry, patterns, coupling, label)
 
 
+def phase_ramp(geometry: ArrayGeometry, azimuth_deg) -> np.ndarray:
+    """exp(-j*pi*p_n*sin(phi)) for every element n (rows) and azimuth phi."""
+    az = np.atleast_1d(np.asarray(azimuth_deg, dtype=float))
+    pos = np.asarray(geometry.positions, dtype=float)
+    return np.exp(-1j * np.pi * pos[:, None] * np.sin(np.deg2rad(az))[None, :])
+
+
 def steering_matrix(manifold: ArrayManifold, azimuth_deg) -> np.ndarray:
     """Steering vectors for a grid of azimuths, as columns of an N x K array."""
     az = np.atleast_1d(np.asarray(azimuth_deg, dtype=float))
-    pos = np.asarray(manifold.geometry.positions, dtype=float)
-    phase = np.exp(-1j * np.pi * pos[:, None] * np.sin(np.deg2rad(az))[None, :])
+    phase = phase_ramp(manifold.geometry, az)
     pats = manifold.element_patterns
     if all(p is pats[0] for p in pats):
         gains = np.broadcast_to(evaluate(pats[0], az), phase.shape)
@@ -154,27 +160,33 @@ class SnapshotSet:
 
 
 def generate_snapshots(manifold: ArrayManifold, scenario: SourceScenario,
-                       snapshot_count: int, rng) -> SnapshotSet:
+                       snapshot_count: int, rng, *,
+                       steering: np.ndarray | None = None) -> SnapshotSet:
     """Simulate x(t) = A s(t) + n(t) with unit-power complex Gaussian noise.
 
     Sources are i.i.d. circular complex Gaussian with amplitude set by the
     per-source SNR. rng may be a Generator, a SeedSequence, or an int seed;
     the same seed and inputs reproduce the snapshot set bit-identically
-    (source draws come before noise draws).
+    (source draws come before noise draws). `steering` may carry a
+    precomputed N x L matrix A for the scenario's angles, such as a
+    perturbed, coupled one; the draws do not depend on it.
     """
     if snapshot_count < 1:
         raise ValueError(f"snapshot_count must be >= 1, got {snapshot_count}")
     seed_note = None if isinstance(rng, np.random.Generator) else rng
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
-    a = steering_matrix(manifold, scenario.angles)
+    n, l, t = manifold.geometry.element_count, scenario.source_count, snapshot_count
+    if steering is None:
+        steering = steering_matrix(manifold, scenario.angles)
+    elif steering.shape != (n, l):
+        raise ValueError(f"steering shape {steering.shape} != ({n}, {l})")
     amp = 10.0 ** (np.asarray(scenario.per_source_snr_db) / 20.0)
-    l, t = scenario.source_count, snapshot_count
     sr = gen.standard_normal((2, l, t))
     s = amp[:, None] * (sr[0] + 1j * sr[1]) / np.sqrt(2.0)
-    nr = gen.standard_normal((2, manifold.geometry.element_count, t))
+    nr = gen.standard_normal((2, n, t))
     noise = (nr[0] + 1j * nr[1]) / np.sqrt(2.0)
-    return SnapshotSet(a @ s + noise, scenario, manifold.label, seed_note)
+    return SnapshotSet(steering @ s + noise, scenario, manifold.label, seed_note)
 
 
 def sample_covariance(snapshots) -> np.ndarray:

@@ -68,6 +68,11 @@ class PatternPerturbation:
         if not 0.0 <= self.param_tolerance < 1.0:
             raise PatternError("param_tolerance must be in [0, 1)")
 
+    @property
+    def is_zero(self) -> bool:
+        """True when the perturbation changes nothing (and draws nothing)."""
+        return self.phase_noise_std_deg == 0.0 and self.param_tolerance == 0.0
+
 
 # parameters scaled by param_tolerance, per kind, in draw order
 _SHAPE_PARAMS: dict[str, tuple[str, ...]] = {
@@ -142,52 +147,99 @@ def make_pattern(kind: str, **params) -> ElementPattern:
         raise PatternError(f"bad parameters for {kind}: {sorted(params)}") from None
 
 
-def _magnitude_dbi(pattern: ElementPattern, az: np.ndarray) -> np.ndarray:
-    k, p = pattern.kind, pattern.params
-    if k == "isotropic":
+def _magnitude_dbi(kind: str, p: dict, az: np.ndarray) -> np.ndarray:
+    # parameters are numbers or (N, 1) columns, one row per element
+    if kind == "isotropic":
         return np.zeros_like(az)
-    if k == "dipole_ref":
+    if kind == "dipole_ref":
         return np.full_like(az, p["peak_gain_dbi"])
     cos_az = np.maximum(np.cos(np.deg2rad(az)), _COS_FLOOR)
-    if k == "patch":
+    if kind == "patch":
         return p["peak_gain_dbi"] + 20.0 * p["exponent"] * np.log10(cos_az)
-    if k == "vivaldi":
+    if kind == "vivaldi":
         null = np.maximum(np.abs(np.cos(np.pi * az / (2.0 * p["null_angle_deg"]))),
                           _COS_FLOOR)
         return (p["peak_gain_dbi"]
                 + 20.0 * p["main_exponent"] * np.log10(cos_az)
                 + 20.0 * np.log10(null))
-    raise PatternError(f"unknown pattern kind {k!r}")
+    raise PatternError(f"unknown pattern kind {kind!r}")
 
 
-def _phase_deg(pattern: ElementPattern, az: np.ndarray) -> np.ndarray:
-    if pattern.kind == "vivaldi":
-        p = pattern.params
+def _phase_deg(kind: str, p: dict, az: np.ndarray) -> np.ndarray:
+    if kind == "vivaldi":
         return p["phase_ripple_deg"] * np.sin(2.0 * np.pi * az / p["ripple_period_deg"])
     return np.zeros_like(az)
 
 
-def evaluate(pattern: ElementPattern, azimuth_deg) -> np.ndarray:
-    """Complex gain at the given azimuth(s). Domain is [-90, 90] degrees."""
-    az = np.asarray(azimuth_deg, dtype=float)
-    scalar = az.ndim == 0
-    az = np.atleast_1d(az)
-    if np.any(np.abs(az) > 90.0) or np.any(~np.isfinite(az)):
+def _azimuths(azimuth_deg) -> np.ndarray:
+    az = np.atleast_1d(np.asarray(azimuth_deg, dtype=float))
+    if not np.all(np.abs(az) <= 90.0):  # NaN fails the comparison too
         raise ValueError("azimuth out of range: must lie in [-90, 90] degrees")
+    return az
 
+
+def _interp_noise(az: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """np.interp(az, _NOISE_GRID, row) for every row of noise at once.
+
+    Same arithmetic as np.interp: slope * (x - x_j) + y_j on the segment
+    [x_j, x_j+1) holding x (exactly y_j on a node), and the last value at
+    the last node.
+    """
+    j = np.clip(np.searchsorted(_NOISE_GRID, az, side="right") - 1, 0, _NOISE_GRID.size - 2)
+    x0, x1 = _NOISE_GRID[j], _NOISE_GRID[j + 1]
+    y0, y1 = noise[..., j], noise[..., j + 1]
+    y = (y1 - y0) / (x1 - x0) * (az - x0) + y0
+    return np.where(az == x1, y1, y)
+
+
+def _gain(pattern: ElementPattern, params: dict, noise, az: np.ndarray) -> np.ndarray:
+    """Complex gain of `pattern` with its shape parameters replaced by `params`
+    and its phase noise by `noise`, at the validated azimuths `az`.
+
+    Parameters may be (N, 1) columns and noise an (N, grid) array; the gain
+    is then (N, K), row n computed with exactly the arithmetic of a single
+    pattern holding row n's parameters and noise.
+    """
     if pattern.kind == "tabulated":
         t = np.asarray(pattern.samples, dtype=float)
         mag_dbi = np.interp(az, t[:, 0], t[:, 1])
         phase = np.interp(az, t[:, 0], np.unwrap(t[:, 2], period=360.0))
     else:
-        mag_dbi = _magnitude_dbi(pattern, az)
-        phase = _phase_deg(pattern, az)
+        mag_dbi = _magnitude_dbi(pattern.kind, params, az)
+        phase = _phase_deg(pattern.kind, params, az)
 
-    if pattern.phase_noise_deg is not None:
-        phase = phase + np.interp(az, _NOISE_GRID, pattern.phase_noise_deg)
+    if noise is not None:
+        phase = phase + _interp_noise(az, np.asarray(noise, dtype=float))
 
-    g = 10.0 ** (mag_dbi / 20.0) * np.exp(1j * np.deg2rad(phase))
-    return g[0] if scalar else g
+    return 10.0 ** (mag_dbi / 20.0) * np.exp(1j * np.deg2rad(phase))
+
+
+def evaluate(pattern: ElementPattern, azimuth_deg) -> np.ndarray:
+    """Complex gain at the given azimuth(s). Domain is [-90, 90] degrees."""
+    g = _gain(pattern, pattern.params, pattern.phase_noise_deg, _azimuths(azimuth_deg))
+    return g[0] if np.ndim(azimuth_deg) == 0 else g
+
+
+def _draw(kind: str, perturbation: PatternPerturbation,
+          rng: np.random.Generator) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """One element's deviation, drawn in a fixed order: the shape-parameter
+    scales, then the phase-noise grid. Either is None when switched off."""
+    tol = perturbation.param_tolerance
+    std = perturbation.phase_noise_std_deg
+    scales = noise = None
+    if tol > 0.0:
+        scales = rng.uniform(1.0 - tol, 1.0 + tol, size=len(_SHAPE_PARAMS[kind]))
+    if std > 0.0:
+        noise = rng.normal(0.0, std, size=_NOISE_GRID.size)
+    return scales, noise
+
+
+def _scaled(pattern: ElementPattern, scales) -> dict:
+    """pattern.params with shape parameter i multiplied by scales[i]."""
+    params = dict(pattern.params)
+    for name, s in zip(_SHAPE_PARAMS[pattern.kind], scales):
+        params[name] = params[name] * s
+    return params
 
 
 def perturb(pattern: ElementPattern, perturbation: PatternPerturbation,
@@ -198,21 +250,33 @@ def perturb(pattern: ElementPattern, perturbation: PatternPerturbation,
     so a given rng state maps to exactly one perturbed pattern. Zero
     perturbation returns a pattern that evaluates bit-identically.
     """
-    tol = perturbation.param_tolerance
-    std = perturbation.phase_noise_std_deg
-    if tol == 0.0 and std == 0.0:
+    if perturbation.is_zero:
         return pattern
+    scales, noise = _draw(pattern.kind, perturbation, rng)
+    params = _scaled(pattern, () if scales is None else scales)
+    return ElementPattern(pattern.kind, params, pattern.samples,
+                          None if noise is None else tuple(noise))
 
-    params = dict(pattern.params)
-    if tol > 0.0:
-        names = _SHAPE_PARAMS[pattern.kind]
-        scales = rng.uniform(1.0 - tol, 1.0 + tol, size=len(names))
-        for name, s in zip(names, scales):
-            params[name] = params[name] * s
-    noise = None
-    if std > 0.0:
-        noise = tuple(rng.normal(0.0, std, size=_NOISE_GRID.size))
-    return ElementPattern(pattern.kind, params, pattern.samples, noise)
+
+def perturbed_gains(pattern: ElementPattern, perturbation: PatternPerturbation,
+                    rngs, azimuth_deg) -> np.ndarray:
+    """Complex gains of one perturbed copy of `pattern` per generator, (N, K).
+
+    Row n equals evaluate(perturb(pattern, perturbation, rngs[n]), azimuth_deg)
+    bit for bit: each generator makes the same draws in the same order, and
+    all N copies are evaluated in one pass with their shape parameters as
+    (N, 1) columns.
+    """
+    az = _azimuths(azimuth_deg)
+    if perturbation.is_zero:
+        return np.broadcast_to(evaluate(pattern, az), (len(rngs), az.size))
+    scales, noise = zip(*(_draw(pattern.kind, perturbation, rng) for rng in rngs))
+    params = pattern.params
+    if scales[0] is not None:
+        # (params, N, 1): iterating yields one (N, 1) column per shape parameter
+        params = _scaled(pattern, np.array(scales).T[:, :, None])
+    noise = None if noise[0] is None else np.array(noise)
+    return np.broadcast_to(_gain(pattern, params, noise, az), (len(rngs), az.size))
 
 
 def _parse_row(line: str, lineno: int) -> tuple[float, float, float]:

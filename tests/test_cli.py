@@ -100,6 +100,9 @@ def _with_key(conf: str, key: str, value: str) -> str:
     ("sweep", "[-5, NaN]"),
     ("angles", "[-10, -Infinity]"),
     ("manifold.pattern.peak_gain_dbi", "NaN"),
+    ("manifold.perturbation.phase_noise_std_deg", "-1.0"),
+    ("manifold.perturbation.param_tolerance", "-0.1"),
+    ("manifold.perturbation.param_tolerance", "1.0"),
 ])
 def test_sweep_invalid_scalar_exits_2(tmp_path, capsys, key, value):
     # rejected at parse time, naming the key, before any trial runs
@@ -109,6 +112,50 @@ def test_sweep_invalid_scalar_exits_2(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+ANGLE_SWEEP_CONF = """\
+family = symmetric-pair-angle-sweep
+geometry = ula8
+manifold.pattern = isotropic
+sweep = [0.4, 3.0]
+trials = 2
+snapshots = 16
+fov_deg = 90
+"""
+
+
+@pytest.mark.parametrize("step, code", [("60", 2), ("0.5", 2), ("0.4", 0)])
+def test_sweep_step_above_smallest_half_angle_exits_2(tmp_path, capsys, step, code):
+    # a grid step wider than the smallest swept half-angle cannot place the
+    # pair; rejected at parse time, before any trial runs
+    conf = tmp_path / "pair.conf"
+    conf.write_text(ANGLE_SWEEP_CONF + f"grid_step_deg = {step}\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == code
+    if code == 2:
+        assert "grid_step_deg" in capsys.readouterr().err
+        assert not out.exists()
+
+
+TABLE = "azimuth_deg,gain_dbi,phase_deg\n-90.0,0.0,0.0\n0.0,3.0,10.0\n90.0,0.0,0.0\n"
+
+
+@pytest.mark.parametrize("table", [None, "azimuth_deg,gain_dbi,phase_deg\n0,1,2\n",
+                                   TABLE.replace("3.0", "x")])
+def test_sweep_bad_pattern_table_exits_2(tmp_path, capsys, table):
+    # a missing or malformed table is read and rejected at parse time
+    path = tmp_path / "table.csv"
+    if table is not None:
+        path.write_text(table)
+    conf = tmp_path / "tab.conf"
+    conf.write_text(SWEEP_CONF.replace("manifold.pattern = isotropic",
+                                       f"manifold.pattern = tabulated\n"
+                                       f"manifold.pattern.file = {path}"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
+    assert "manifold.pattern.file" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -147,3 +147,23 @@ def test_shipped_config_fingerprints_are_stable(name, fingerprint):
     # stricter validation must not change what a valid config hashes to
     configs = Path(__file__).resolve().parent.parent / "configs"
     assert parse_config(configs / name).fingerprint() == fingerprint
+
+
+def test_tabulated_fingerprint_hashes_table_rows(tmp_path):
+    # the fingerprint follows the table's contents, not only its path
+    table = tmp_path / "table.csv"
+    text = ("azimuth_deg,gain_dbi,phase_deg\n"
+            "-90.0,0.0,0.0\n0.0,3.0,10.0\n90.0,0.0,0.0\n")
+    conf = ("family = fixed-scenario\ngeometry = ula8\n"
+            f"manifold.pattern = tabulated\nmanifold.pattern.file = {table}\n")
+    table.write_text(text)
+    first = parse_config_text(conf)
+    table.write_text(text.replace("3.0", "3.5"))
+    edited = parse_config_text(conf)
+    table.write_text(text + "\n")  # same rows, different bytes
+    same_rows = parse_config_text(conf)
+    assert edited.fingerprint() != first.fingerprint()
+    assert same_rows.fingerprint() == first.fingerprint()
+    # the rows read at parse time are the ones a run uses
+    assert first.nominal_pattern().samples[1] == (0.0, 3.0, 10.0)
+    assert edited.nominal_pattern().samples[1] == (0.0, 3.5, 10.0)

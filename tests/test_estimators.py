@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from doasim import estimators
 from doasim.estimators import (DoaEstimateSet, Pseudospectrum, RankError,
                                azimuth_grid, coarray_covariance, coarray_music,
                                fov_window, fov_window_size, hermitian_eig,
@@ -189,6 +190,48 @@ def test_pick_peaks_on_fov_window_matches_full_grid(step, fov, count, seed, leve
             pick_peaks(windowed, count, fov)
         return
     assert pick_peaks(windowed, count, fov) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=st.lists(st.integers(0, 800), min_size=3, max_size=120),
+       count=st.integers(1, 6), fov=st.floats(1.0, 90.0),
+       scale=st.floats(1e-6, 1e6))
+def test_pick_peaks_invariant_under_positive_scaling(levels, count, fov, scale):
+    # a MUSIC spectrum has no absolute level, so scaling it must not change
+    # which peaks are picked or filled. Levels 10^(k/100) keep distinct values
+    # 2% apart, so no comparison flips under rounding; the parabolic
+    # refinement reads log values shifted by log(scale), so refined angles
+    # may move at rounding level only.
+    grid = np.linspace(-90.0, 90.0, len(levels))
+    vals = 10.0 ** (np.asarray(levels) / 100.0)
+    window = fov_window(grid, fov)
+    assume(window.stop - window.start >= count)
+    base = pick_peaks(Pseudospectrum(grid, vals), count, fov)
+    scaled = pick_peaks(Pseudospectrum(grid, vals * scale), count, fov)
+    assert scaled.filled == base.filled
+    assert scaled.peaks_found == base.peaks_found
+    assert scaled.angles == pytest.approx(base.angles, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 24), columns=st.integers(3, 400),
+       seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-8.0, 3.0))
+def test_spectrum_denominator_matches_conjugate_einsum(rows, columns, seed, log_scale):
+    # the complex scan sums |E_n^H a|^2 from the squared real and imaginary
+    # parts; it must equal the einsum against the conjugate bit for bit, on
+    # scans of at least 3 grid points (the smallest Pseudospectrum)
+    rng = np.random.default_rng(seed)
+    elements = rows + int(rng.integers(1, 4))
+
+    def cnormal(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    noise_vecs = cnormal((elements, rows))
+    steering = cnormal((elements, columns)) * 10.0 ** log_scale
+    proj = noise_vecs.conj().T @ steering
+    denom = np.einsum("ij,ij->j", proj, proj.conj()).real
+    expected = 1.0 / np.maximum(denom, estimators._DENOM_FLOOR)
+    assert np.array_equal(estimators._spectrum(noise_vecs, steering), expected)
 
 
 def test_fov_window_bounds():

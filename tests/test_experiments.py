@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doasim import estimators, experiments
 from doasim.estimators import (azimuth_grid, coarray_music, fov_window,
@@ -10,7 +11,9 @@ from doasim.experiments import (ESTIMATORS, ConfigError, ExperimentConfig,
                                 LinkBudget, SweepResult, range_ratio,
                                 required_snr_for_rmse, rmse, run_overloaded_demo,
                                 run_point, run_sweep, snr_to_range)
-from doasim.manifold import generate_snapshots, sample_covariance
+from doasim.manifold import (ArrayManifold, apply_coupling_model, generate_snapshots,
+                             make_manifold, sample_covariance, steering_matrix)
+from doasim.patterns import export_tabulated, make_vivaldi, perturb
 
 from oracles import best_pairing_rmse
 
@@ -235,26 +238,46 @@ def test_run_point_rejects_engine_of_other_config():
         run_point(_coupled_sweep(seed=10), 0, engine=engine)
 
 
+def _replay_data_manifold(cfg: ExperimentConfig, pert_seq) -> ArrayManifold:
+    """One trial's data-side manifold from public functions only: a perturbed
+    copy of the nominal pattern per child of pert_seq, then the coupling."""
+    geom = cfg.resolve_geometry()
+    nominal = cfg.nominal_pattern()
+    pert = cfg.perturbation()
+    pats = [nominal] * geom.element_count
+    if pert.phase_noise_std_deg > 0 or pert.param_tolerance > 0:
+        pats = [perturb(nominal, pert, np.random.default_rng(c))
+                for c in pert_seq.spawn(geom.element_count)]
+    return apply_coupling_model(make_manifold(geom, pats), cfg.coupling_c1,
+                                cfg.coupling_decay)
+
+
+def _trial_streams(cfg: ExperimentConfig, point_index: int, trial_index: int):
+    return np.random.SeedSequence([cfg.seed, point_index, trial_index]).spawn(2)
+
+
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 @pytest.mark.parametrize("fov", [30.0, 45.5, 90.0])
 @pytest.mark.parametrize("step", [0.01, 0.013, 0.07])
 def test_engine_window_scan_matches_full_grid(estimator, fov, step):
     # the engine scans only blocks around the pick window with precomputed
-    # steering; the reference scans the whole grid and evaluates steering on
-    # the fly. Spectrum values must agree bit for bit, not just the picks.
+    # steering; the reference replays the trial through public functions and
+    # scans the whole grid, evaluating steering on the fly. Spectrum values
+    # must agree bit for bit, not just the picks.
     cfg = ExperimentConfig(family="fixed-scenario", geometry="mra8",
                            pattern="vivaldi", angles=(-21.3, 4.0, 17.5),
                            snr_db=-3.0, snapshots=32, trials=3,
                            estimator=estimator, fov_deg=fov, grid_step_deg=step,
                            coupling_c1=0.1, phase_noise_std_deg=3.0, seed=4)
     engine = experiments._TrialEngine(cfg)
-    scenario = cfg.scenario_at(0.0)
+    point = engine.point(0)
+    scenario = point.scenario
     grid = azimuth_grid(step)
     window = fov_window(grid, fov, guard=1)
     for t in range(cfg.trials):
-        spectrum, est = engine.run_trial(scenario, 0, t)
-        pert_seq, snap_seq = np.random.SeedSequence([cfg.seed, 0, t]).spawn(2)
-        snaps = generate_snapshots(engine.data_manifold(pert_seq), scenario,
+        spectrum, est = engine.run_trial(point, t)
+        pert_seq, snap_seq = _trial_streams(cfg, 0, t)
+        snaps = generate_snapshots(_replay_data_manifold(cfg, pert_seq), scenario,
                                    cfg.snapshots, np.random.default_rng(snap_seq))
         r = sample_covariance(snaps)
         if estimator == "coarray-music":
@@ -267,6 +290,45 @@ def test_engine_window_scan_matches_full_grid(estimator, fov, step):
         assert np.array_equal(spectrum.grid, grid[cols])
         assert np.array_equal(spectrum.values, full.values[cols])
         assert est == pick_peaks(full, 3, fov)
+
+
+@pytest.fixture(scope="module")
+def table_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("table") / "vivaldi.csv"
+    export_tabulated(make_vivaldi(), path, step_deg=2.0)
+    return str(path)
+
+
+_ANGLE = st.one_of(st.integers(-90, 90).map(float),
+                   st.floats(-90.0, 90.0, allow_nan=False))
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 0.1])
+@pytest.mark.parametrize("phase_noise", [0.0, 4.0])
+@pytest.mark.parametrize("c1", [0.0, 0.3])
+@pytest.mark.parametrize("kind", ["isotropic", "dipole_ref", "patch", "vivaldi",
+                                  "tabulated"])
+@settings(max_examples=6, deadline=None)
+@given(geometry=st.sampled_from(["ula4", "ula8", "mra4", "mra8", (0, 1, 5, 7)]),
+       angles=st.lists(_ANGLE, min_size=1, max_size=3, unique=True),
+       seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 10**6))
+def test_engine_data_steering_matches_public_replay(table_file, kind, c1, phase_noise,
+                                                    tolerance, geometry, angles, seed,
+                                                    trial):
+    # the engine builds the perturbed, coupled data steering in one pass; it
+    # must equal steering_matrix of the manifold the public functions build
+    # from the same streams, bit for bit, nominal or perturbed
+    cfg = ExperimentConfig(family="fixed-scenario", geometry=geometry, pattern=kind,
+                           pattern_params={"file": table_file} if kind == "tabulated"
+                           else {},
+                           angles=tuple(angles), coupling_c1=c1,
+                           phase_noise_std_deg=phase_noise, param_tolerance=tolerance,
+                           grid_step_deg=1.0, trials=1, seed=seed)
+    engine = experiments._TrialEngine(cfg)
+    point = engine.point(0)
+    got = engine.data_steering(point, _trial_streams(cfg, 0, trial)[0])
+    replay = _replay_data_manifold(cfg, _trial_streams(cfg, 0, trial)[0])
+    assert np.array_equal(got, steering_matrix(replay, point.scenario.angles))
 
 
 def test_run_point_trial_streams_differ():

@@ -135,6 +135,21 @@ def test_snapshots_shape_and_determinism():
         generate_snapshots(m, sc, 0, 1)
 
 
+def test_snapshots_with_precomputed_steering():
+    # a precomputed data steering replaces the manifold's own; the draws,
+    # and so the snapshots for the same steering, do not change
+    m = apply_coupling_model(make_manifold(make_mra(4), make_patch()), 0.2, 0.5)
+    sc = SourceScenario((-20.0, 5.0), 0.0)
+    own = generate_snapshots(m, sc, 40, 77)
+    given = generate_snapshots(m, sc, 40, 77, steering=steering_matrix(m, sc.angles))
+    assert np.array_equal(given.data, own.data)
+    other = generate_snapshots(m, sc, 40, 77, steering=np.zeros((4, 2), dtype=complex))
+    noise_only = generate_snapshots(m, SourceScenario((-20.0, 5.0), -1000.0), 40, 77)
+    assert np.array_equal(other.data, noise_only.data)
+    with pytest.raises(ValueError, match="steering shape"):
+        generate_snapshots(m, sc, 40, 77, steering=np.zeros((4, 3), dtype=complex))
+
+
 def test_element_snr_convention():
     # -5 dB source on an isotropic element: signal power adds 10**-0.5 on
     # top of unit noise power

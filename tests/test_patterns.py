@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from doasim import patterns
 from doasim.patterns import (ElementPattern, PatternError, PatternPerturbation,
                              TableError, evaluate, export_tabulated,
                              load_tabulated, make_dipole_ref, make_isotropic,
-                             make_patch, make_pattern, make_vivaldi, perturb)
+                             make_patch, make_pattern, make_vivaldi, perturb,
+                             perturbed_gains)
 
 DENSE = np.linspace(-90.0, 90.0, 721)
 
@@ -242,3 +245,44 @@ def test_perturb_tabulated_gets_phase_noise_only():
     assert q.samples == p.samples
     assert q.phase_noise_deg is not None
     assert np.allclose(np.abs(evaluate(q, DENSE)), np.abs(evaluate(p, DENSE)))
+
+
+# node azimuths (every integer degree, the ends included) and points between
+_AZIMUTHS = st.lists(st.one_of(st.integers(-90, 90).map(float),
+                               st.floats(-90.0, 90.0, allow_nan=False)),
+                     min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(azimuths=_AZIMUTHS, rows=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       log_std=st.floats(-3.0, 2.0))
+def test_noise_interpolation_matches_np_interp(azimuths, rows, seed, log_std):
+    # the per-row phase-noise lookup keeps np.interp's arithmetic bit for bit,
+    # on grid nodes and at +-90 degrees as well as between nodes
+    az = np.array(azimuths)
+    noise = np.random.default_rng(seed).normal(0.0, 10.0 ** log_std, (rows, 181))
+    expected = np.stack([np.interp(az, np.arange(-90.0, 91.0), row) for row in noise])
+    assert np.array_equal(patterns._interp_noise(az, noise), expected)
+    assert np.array_equal(patterns._interp_noise(az, noise[0]), expected[0])
+
+
+_KINDS = [make_isotropic(), make_dipole_ref(), make_patch(), make_vivaldi(),
+          load_tabulated(io.StringIO(_small_table()))]
+
+
+@pytest.mark.parametrize("pattern", _KINDS, ids=lambda p: p.kind)
+@settings(max_examples=40, deadline=None)
+@given(azimuths=_AZIMUTHS, count=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       std=st.sampled_from([0.0, 3.0]), tol=st.sampled_from([0.0, 0.2]))
+def test_perturbed_gains_rows_equal_perturb_then_evaluate(pattern, azimuths, count,
+                                                         seed, std, tol):
+    # one broadcast pass over all copies gives each row exactly what
+    # perturbing and evaluating that copy alone gives
+    pert = PatternPerturbation(phase_noise_std_deg=std, param_tolerance=tol)
+    children = np.random.SeedSequence(seed).spawn(count)
+    got = perturbed_gains(pattern, pert, [np.random.default_rng(c) for c in children],
+                          azimuths)
+    expected = [evaluate(perturb(pattern, pert, np.random.default_rng(c)), azimuths)
+                for c in children]
+    assert got.shape == (count, len(azimuths))
+    assert np.array_equal(got, np.stack(expected))
