@@ -33,7 +33,7 @@ def _cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.config).stem
 
-    result = run_sweep(cfg, threads=args.threads)
+    result = run_sweep(cfg)
     csv_path = out / f"{stem}.csv"
     svg_path = out / f"{stem}.svg"
     write_results(result, csv_path)
@@ -113,8 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None,
                    help="override the master seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (results identical for any count)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("demo", help="run a single overloaded-scenario realization")

@@ -4,7 +4,7 @@ An experiment is a sweep over one parameter (source separation or SNR),
 running many independent trials per point and reducing them to an RMSE.
 Randomness is fully determined by one master seed: trial t of point p
 draws from a stream keyed by (seed, p, t), so results are bit-reproducible
-regardless of execution order or thread count.
+and any trial can be replayed on its own.
 
 Manifold perturbations (element pattern deviations, mutual coupling) are
 applied only on the data-generating side; the estimator always scans with
@@ -16,8 +16,7 @@ import hashlib
 import json
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +38,9 @@ ESTIMATORS = ("element-music", "coarray-music")
 
 # free-space wave impedance, ohms
 ETA_0 = 376.730
+
+# highest SNR or element gain a config may set, dB
+MAX_LEVEL_DB = 300.0
 
 _OVERLOADED_ANGLES = (-54.0, -42.0, -30.0, -18.0, -6.0, 6.0, 18.0, 30.0, 42.0, 54.0)
 
@@ -97,6 +99,23 @@ def _as_str(key, v) -> str:
     return v
 
 
+# config key -> (ExperimentConfig field, parser) for every scalar key, in
+# the order the config file format lists them
+_SCALARS = {
+    "manifold.coupling.c1": ("coupling_c1", _as_float),
+    "manifold.coupling.decay": ("coupling_decay", _as_float),
+    "manifold.perturbation.phase_noise_std_deg": ("phase_noise_std_deg", _as_float),
+    "manifold.perturbation.param_tolerance": ("param_tolerance", _as_float),
+    "snr_db": ("snr_db", _as_float),
+    "snapshots": ("snapshots", _as_int),
+    "trials": ("trials", _as_int),
+    "estimator": ("estimator", _as_str),
+    "fov_deg": ("fov_deg", _as_float),
+    "grid_step_deg": ("grid_step_deg", _as_float),
+    "seed": ("seed", _as_int),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one experiment.
@@ -128,22 +147,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if isinstance(self.geometry, list):
             object.__setattr__(self, "geometry", tuple(self.geometry))
+        # every number a float key holds is stored as a float: 5 and 5.0
+        # compare equal but serialize, and so hash, differently
         object.__setattr__(self, "sweep", tuple(float(s) for s in self.sweep))
         if self.angles is not None:
             object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-        numbers = {
-            "manifold.coupling.c1": (self.coupling_c1,),
-            "manifold.coupling.decay": (self.coupling_decay,),
-            "manifold.perturbation.phase_noise_std_deg": (self.phase_noise_std_deg,),
-            "manifold.perturbation.param_tolerance": (self.param_tolerance,),
-            "snr_db": (self.snr_db,),
-            "fov_deg": (self.fov_deg,),
-            "grid_step_deg": (self.grid_step_deg,),
-            "sweep": self.sweep,
-            "angles": self.angles or (),
-        }
+        for key, (attr, parse) in _SCALARS.items():
+            object.__setattr__(self, attr, parse(key, getattr(self, attr)))
+        object.__setattr__(self, "pattern_params", {
+            k: float(v) if isinstance(v, (int, float)) else v
+            for k, v in self.pattern_params.items()})
+        numbers = {key: (getattr(self, attr),) for key, (attr, parse) in _SCALARS.items()
+                   if parse is _as_float}
+        numbers.update({"sweep": self.sweep, "angles": self.angles or ()})
         numbers.update({f"manifold.pattern.{k}": (v,) for k, v in self.pattern_params.items()
-                        if isinstance(v, (int, float))})
+                        if isinstance(v, float)})
         for key, values in numbers.items():
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"key {key!r}: must be finite, got "
@@ -250,6 +268,15 @@ class ExperimentConfig:
                                   "manifold.pattern.file") from None
         else:
             pattern = make_pattern(self.pattern, **self.pattern_params)
+        # 10**(dB/10) of a larger level overflows the sample covariance
+        levels = {"snr_db": [self.snr_db],
+                  "sweep": self.sweep if self.family == "snr-sweep" else [],
+                  "manifold.pattern.peak_gain_dbi": [pattern.params.get("peak_gain_dbi", 0)],
+                  "manifold.pattern.file": [row[1] for row in pattern.samples or ()]}
+        for key, values in levels.items():
+            if max(values, default=0) > MAX_LEVEL_DB:
+                raise ConfigError(f"key {key!r}: {max(values):g} dB exceeds the "
+                                  f"{MAX_LEVEL_DB:g} dB limit", key)
         # validated once here; a tabulated pattern keeps the rows read here,
         # which the fingerprint hashes
         object.__setattr__(self, "_pattern", pattern)
@@ -295,19 +322,7 @@ class ExperimentConfig:
         }
         for k in sorted(self.pattern_params):
             m[f"manifold.pattern.{k}"] = self.pattern_params[k]
-        m.update({
-            "manifold.coupling.c1": self.coupling_c1,
-            "manifold.coupling.decay": self.coupling_decay,
-            "manifold.perturbation.phase_noise_std_deg": self.phase_noise_std_deg,
-            "manifold.perturbation.param_tolerance": self.param_tolerance,
-            "snr_db": self.snr_db,
-            "snapshots": self.snapshots,
-            "trials": self.trials,
-            "estimator": self.estimator,
-            "fov_deg": self.fov_deg,
-            "grid_step_deg": self.grid_step_deg,
-            "seed": self.seed,
-        })
+        m.update({key: getattr(self, attr) for key, (attr, _) in _SCALARS.items()})
         if self.sweep:
             m["sweep"] = list(self.sweep)
         if self.angles and self.family != "symmetric-pair-angle-sweep":
@@ -342,21 +357,8 @@ class ExperimentConfig:
                 params[name] = _as_str(k, v) if name == "file" else _as_float(k, v)
         kwargs["pattern_params"] = params
 
-        simple = {
-            "manifold.coupling.c1": ("coupling_c1", _as_float),
-            "manifold.coupling.decay": ("coupling_decay", _as_float),
-            "manifold.perturbation.phase_noise_std_deg": ("phase_noise_std_deg", _as_float),
-            "manifold.perturbation.param_tolerance": ("param_tolerance", _as_float),
-            "sweep": ("sweep", _as_float_tuple),
-            "angles": ("angles", _as_float_tuple),
-            "snr_db": ("snr_db", _as_float),
-            "snapshots": ("snapshots", _as_int),
-            "trials": ("trials", _as_int),
-            "estimator": ("estimator", _as_str),
-            "fov_deg": ("fov_deg", _as_float),
-            "grid_step_deg": ("grid_step_deg", _as_float),
-            "seed": ("seed", _as_int),
-        }
+        simple = {**_SCALARS, "sweep": ("sweep", _as_float_tuple),
+                  "angles": ("angles", _as_float_tuple)}
         for key in list(m):
             if key not in simple:
                 raise ConfigError(f"unknown key {key!r}", key)
@@ -509,14 +511,15 @@ class _TrialEngine:
         return ps, pick_peaks(ps, l, cfg.fov_deg)
 
 
-def run_point(config: ExperimentConfig, point_index: int, threads: int = 1, *,
+def run_point(config: ExperimentConfig, point_index: int, *,
               engine: _TrialEngine | None = None) -> tuple[np.ndarray, np.ndarray]:
     """All trials for one sweep point.
 
-    Returns (per-trial RMSE array, per-trial fill counts), in trial order;
-    bit-identical for any thread count because every trial owns a stream
-    keyed by (seed, point index, trial index). `engine` lets a sweep share
-    one engine, built for the same config, across its points.
+    Returns (per-trial RMSE array, per-trial fill counts), in trial order.
+    Every trial owns a stream keyed by (seed, point index, trial index), so
+    entry t equals what engine.run_trial(point, t) gives on its own. `engine`
+    lets a sweep share one engine, built for the same config, across its
+    points.
     """
     points = config.points
     if not 0 <= point_index < len(points):
@@ -527,37 +530,29 @@ def run_point(config: ExperimentConfig, point_index: int, threads: int = 1, *,
         raise ValueError("engine was built for a different config")
     point = engine.point(point_index)
     truth = point.scenario.angles
-
-    def one(t: int) -> tuple[float, int]:
+    errs = np.empty(config.trials)
+    fills = np.empty(config.trials, dtype=int)
+    for t in range(config.trials):
         _, est = engine.run_trial(point, t)
-        return rmse(est.angles, truth), est.fill_count
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            out = list(pool.map(one, range(config.trials)))
-    else:
-        out = [one(t) for t in range(config.trials)]
-    errs = np.array([o[0] for o in out])
-    fills = np.array([o[1] for o in out], dtype=int)
+        errs[t] = rmse(est.angles, truth)
+        fills[t] = est.fill_count
     return errs, fills
 
 
-def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
+def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run the full parameter sweep and reduce each point to one RMSE.
 
     The point RMSE pools squared errors across trials:
     sqrt(mean_t(rmse_t^2)), so every source of every trial weighs equally.
     """
     engine = _TrialEngine(config)
-    params, rmses, counts, fills = [], [], [], []
-    for i, p in enumerate(config.points):
-        errs, fill = run_point(config, i, threads=threads, engine=engine)
-        params.append(p)
+    rmses, fills = [], []
+    for i in range(len(config.points)):
+        errs, fill = run_point(config, i, engine=engine)
         rmses.append(float(np.sqrt(np.mean(errs ** 2))))
-        counts.append(config.trials)
         fills.append(int(fill.sum()))
-    return SweepResult(params=tuple(params), rmse_deg=tuple(rmses),
-                       trials=tuple(counts), fill_counts=tuple(fills),
+    return SweepResult(params=config.points, rmse_deg=tuple(rmses),
+                       trials=(config.trials,) * len(rmses), fill_counts=tuple(fills),
                        fingerprint=config.fingerprint(), seed=config.seed)
 
 

@@ -11,7 +11,7 @@ Element gain then enters only through the steering vector, never twice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -49,8 +49,7 @@ def test_sweep_reruns_identically(tmp_path):
     conf.write_text(SWEEP_CONF)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["sweep", "--config", str(conf), "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", str(conf), "--out", str(out2),
-                 "--threads", "2"]) == 0
+    assert main(["sweep", "--config", str(conf), "--out", str(out2)]) == 0
     assert (out1 / "exp.csv").read_bytes() == (out2 / "exp.csv").read_bytes()
 
 
@@ -103,6 +102,10 @@ def _with_key(conf: str, key: str, value: str) -> str:
     ("manifold.perturbation.phase_noise_std_deg", "-1.0"),
     ("manifold.perturbation.param_tolerance", "-0.1"),
     ("manifold.perturbation.param_tolerance", "1.0"),
+    # levels whose 10**(dB/10) overflows the covariance
+    ("snr_db", "7000"),
+    ("sweep", "[-5, 4000]"),
+    ("manifold.pattern.peak_gain_dbi", "8000"),
 ])
 def test_sweep_invalid_scalar_exits_2(tmp_path, capsys, key, value):
     # rejected at parse time, naming the key, before any trial runs
@@ -143,7 +146,7 @@ TABLE = "azimuth_deg,gain_dbi,phase_deg\n-90.0,0.0,0.0\n0.0,3.0,10.0\n90.0,0.0,0
 
 
 @pytest.mark.parametrize("table", [None, "azimuth_deg,gain_dbi,phase_deg\n0,1,2\n",
-                                   TABLE.replace("3.0", "x")])
+                                   TABLE.replace("3.0", "x"), TABLE.replace("3.0", "4000")])
 def test_sweep_bad_pattern_table_exits_2(tmp_path, capsys, table):
     # a missing or malformed table is read and rejected at parse time
     path = tmp_path / "table.csv"

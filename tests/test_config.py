@@ -1,11 +1,13 @@
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from doasim.config import (parse_config, parse_config_text, read_results,
                            serialize_config, write_results)
-from doasim.experiments import ConfigError, ExperimentConfig, SweepResult
+from doasim.experiments import (MAX_LEVEL_DB, ConfigError, ExperimentConfig,
+                                SweepResult, run_point)
 
 SAMPLE = """\
 # two-source accuracy sweep
@@ -147,6 +149,35 @@ def test_shipped_config_fingerprints_are_stable(name, fingerprint):
     # stricter validation must not change what a valid config hashes to
     configs = Path(__file__).resolve().parent.parent / "configs"
     assert parse_config(configs / name).fingerprint() == fingerprint
+
+
+@pytest.mark.parametrize("as_int, as_float", [
+    ({"snr_db": -5}, {"snr_db": -5.0}),
+    ({"fov_deg": 30}, {"fov_deg": 30.0}),
+    ({"pattern_params": {"exponent": 2}}, {"pattern_params": {"exponent": 2.0}}),
+])
+def test_equal_configs_have_equal_fingerprints(as_int, as_float):
+    # an integer and the equal float must not hash differently
+    base = dict(family="fixed-scenario", geometry="ula8", pattern="patch")
+    a = ExperimentConfig(**base, **as_int)
+    b = ExperimentConfig(**base, **as_float)
+    assert a == b
+    assert a.fingerprint() == b.fingerprint()
+    assert serialize_config(a) == serialize_config(b)
+
+
+def test_levels_up_to_the_limit_run_finite():
+    # the largest SNR and gain a config may set keep the covariance finite;
+    # one dB more is rejected at parse time
+    cfg = ExperimentConfig(family="fixed-scenario", geometry="mra8", pattern="vivaldi",
+                           pattern_params={"peak_gain_dbi": MAX_LEVEL_DB},
+                           snr_db=MAX_LEVEL_DB, estimator="coarray-music",
+                           snapshots=16, trials=2, grid_step_deg=0.5)
+    errs, _ = run_point(cfg, 0)
+    assert np.all(np.isfinite(errs))
+    with pytest.raises(ConfigError, match="snr_db"):
+        ExperimentConfig(family="fixed-scenario", geometry="mra8", pattern="patch",
+                         snr_db=MAX_LEVEL_DB + 1)
 
 
 def test_tabulated_fingerprint_hashes_table_rows(tmp_path):

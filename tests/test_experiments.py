@@ -163,13 +163,6 @@ def test_run_sweep_deterministic():
     assert a.to_csv_text() == b.to_csv_text()
 
 
-def test_run_sweep_thread_count_invariant():
-    cfg = _tiny_config(trials=6)
-    serial = run_sweep(cfg, threads=1)
-    threaded = run_sweep(cfg, threads=3)
-    assert serial == threaded
-
-
 def _coupled_sweep(**overrides) -> ExperimentConfig:
     base = dict(family="snr-sweep", geometry="ula8", pattern="patch",
                 angles=(-10.0, 10.0), sweep=(-6.0, 0.0, 6.0), trials=4,
@@ -179,18 +172,17 @@ def _coupled_sweep(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_run_sweep_points_equal_separate_run_point_calls(monkeypatch, threads):
+def test_run_sweep_points_equal_separate_run_point_calls(monkeypatch):
     cfg = _coupled_sweep()
     seen = {}
     original = experiments.run_point
 
-    def recording(config, point_index, threads=1, **kwargs):
-        seen[point_index] = original(config, point_index, threads, **kwargs)
+    def recording(config, point_index, **kwargs):
+        seen[point_index] = original(config, point_index, **kwargs)
         return seen[point_index]
 
     monkeypatch.setattr(experiments, "run_point", recording)
-    result = run_sweep(cfg, threads=threads)
+    result = run_sweep(cfg)
     monkeypatch.undo()
     assert sorted(seen) == [0, 1, 2]
     for p in range(3):
@@ -210,7 +202,7 @@ def test_run_sweep_builds_one_engine(monkeypatch):
             super().__init__(config)
 
     monkeypatch.setattr(experiments, "_TrialEngine", CountingEngine)
-    run_sweep(_coupled_sweep(), threads=2)
+    run_sweep(_coupled_sweep())
     assert len(built) == 1
 
 
