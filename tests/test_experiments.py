@@ -172,25 +172,30 @@ def _coupled_sweep(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
-def test_run_sweep_points_equal_separate_run_point_calls(monkeypatch):
+@pytest.mark.parametrize("sweeps", [1, 2])
+def test_run_sweep_points_equal_separate_run_point_calls(monkeypatch, sweeps):
+    # with sweeps=2 the second sweep runs on caches the first one warmed
     cfg = _coupled_sweep()
-    seen = {}
+    seen = []
     original = experiments.run_point
 
     def recording(config, point_index, **kwargs):
-        seen[point_index] = original(config, point_index, **kwargs)
-        return seen[point_index]
+        out = original(config, point_index, **kwargs)
+        seen.append((point_index, out))
+        return out
 
     monkeypatch.setattr(experiments, "run_point", recording)
-    result = run_sweep(cfg)
+    results = [run_sweep(cfg) for _ in range(sweeps)]
     monkeypatch.undo()
-    assert sorted(seen) == [0, 1, 2]
-    for p in range(3):
-        errs, fills = run_point(cfg, p)
-        assert np.array_equal(seen[p][0], errs)
-        assert np.array_equal(seen[p][1], fills)
-        assert result.rmse_deg[p] == float(np.sqrt(np.mean(errs ** 2)))
-        assert result.fill_counts[p] == int(fills.sum())
+    assert [p for p, _ in seen] == [0, 1, 2] * sweeps
+    for k, result in enumerate(results):
+        for p in range(3):
+            errs, fills = run_point(cfg, p)
+            recorded_errs, recorded_fills = seen[3 * k + p][1]
+            assert np.array_equal(recorded_errs, errs)
+            assert np.array_equal(recorded_fills, fills)
+            assert result.rmse_deg[p] == float(np.sqrt(np.mean(errs ** 2)))
+            assert result.fill_counts[p] == int(fills.sum())
 
 
 def test_run_sweep_builds_one_engine(monkeypatch):
