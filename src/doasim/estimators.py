@@ -21,6 +21,15 @@ _DENOM_FLOOR = 1e-300
 # grid points this far outside +-fov still belong to the pick window
 _FOV_TOL = 1e-12
 
+# Scans are cut in aligned blocks of this many full-grid columns. BLAS
+# computes the last (n mod kernel width) columns of a matrix product on a
+# separate path, so a scan cut at any column would differ from a full-grid
+# scan in the last bits of its final columns; aligned blocks keep every
+# column of a whole block on the path it takes in the full scan, for kernel
+# widths dividing 16. A partial block at the end of the grid need not keep
+# it (see _PeakSearch); a +-fov window that reaches it is the whole grid.
+_SCAN_BLOCK = 16
+
 
 class RankError(ValueError):
     """Source count incompatible with the available (virtual) aperture."""
@@ -124,15 +133,17 @@ def _noise_projection(r: np.ndarray, source_count: int, dim: int) -> np.ndarray:
     return vecs[:, : dim - source_count]
 
 
-def _spectrum(noise_vecs: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    proj = noise_vecs.conj().T @ steering
-    if np.iscomplexobj(proj):
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared norms of the columns of x."""
+    if np.iscomplexobj(x):
         # |z|^2 summed down the columns, without a conjugate copy; the same
         # values as the einsum bit for bit
-        denom = np.sum(np.square(proj.real) + np.square(proj.imag), axis=0)
-    else:
-        denom = np.einsum("ij,ij->j", proj, proj)
-    return 1.0 / np.maximum(denom, _DENOM_FLOOR)
+        return np.add.reduce(np.square(x.real) + np.square(x.imag), axis=0)
+    return np.einsum("ij,ij->j", x, x)
+
+
+def _spectrum(noise_vecs: np.ndarray, steering: np.ndarray) -> np.ndarray:
+    return 1.0 / np.maximum(_sq_norms(noise_vecs.conj().T @ steering), _DENOM_FLOOR)
 
 
 def music_pseudospectrum(r: np.ndarray, manifold: ArrayManifold, source_count: int,
@@ -249,6 +260,17 @@ def virtual_steering(aperture: int, azimuth_deg) -> np.ndarray:
     return np.concatenate(rows)
 
 
+def _coarray_noise(r: np.ndarray, geometry: ArrayGeometry, source_count: int) -> np.ndarray:
+    """Real noise subspace of the smoothed covariance in the unitary basis."""
+    m = geometry.aperture
+    if not 1 <= source_count <= m:
+        raise RankError(f"coarray supports 1..{m} sources for {geometry.name!r}, "
+                        f"got {source_count}")
+    rss = coarray_covariance(r, geometry)
+    q = _unitary_basis(m + 1)
+    return _noise_projection((q.conj().T @ rss @ q).real, source_count, m + 1)
+
+
 def coarray_music(r: np.ndarray, geometry: ArrayGeometry, source_count: int,
                   grid: np.ndarray | None = None,
                   steering: np.ndarray | None = None) -> Pseudospectrum:
@@ -262,14 +284,9 @@ def coarray_music(r: np.ndarray, geometry: ArrayGeometry, source_count: int,
     real table of virtual_steering (Huarng & Yeh, IEEE TSP 39(4), 1991).
     """
     m = geometry.aperture
-    if not 1 <= source_count <= m:
-        raise RankError(f"coarray supports 1..{m} sources for {geometry.name!r}, "
-                        f"got {source_count}")
+    en = _coarray_noise(r, geometry, source_count)
     if grid is None:
         grid = azimuth_grid()
-    rss = coarray_covariance(r, geometry)
-    q = _unitary_basis(m + 1)
-    en = _noise_projection((q.conj().T @ rss @ q).real, source_count, m + 1)
     if steering is None:
         steering = virtual_steering(m, grid)
     elif steering.shape != (m + 1, grid.size):
@@ -277,18 +294,46 @@ def coarray_music(r: np.ndarray, geometry: ArrayGeometry, source_count: int,
     return Pseudospectrum(grid, _spectrum(en, steering))
 
 
-def _refine(grid: np.ndarray, logv: np.ndarray, idx: int) -> float:
-    """3-point parabolic vertex through log-spectrum values; grid edges pass through."""
+def _refine(grid: np.ndarray, idx: int, vals: np.ndarray, at: int) -> float:
+    """3-point parabolic vertex near grid[idx] through the log of
+    vals[at-1:at+2], the spectrum at grid[idx-1:idx+2]; a peak on the edge
+    of the scanned grid passes through."""
     if idx == 0 or idx == grid.size - 1:
         return float(grid[idx])
-    ym, y0, yp = logv[idx - 1], logv[idx], logv[idx + 1]
+    ym, y0, yp = np.log(vals[at - 1:at + 2]).tolist()
     curv = ym - 2.0 * y0 + yp
     if curv == 0.0:
         return float(grid[idx])
     delta = 0.5 * (ym - yp) / curv
     delta = min(0.5, max(-0.5, delta))
-    step = grid[idx + 1] - grid[idx] if delta >= 0 else grid[idx] - grid[idx - 1]
-    return float(grid[idx] + delta * step)
+    gm, g0, gp = grid[idx - 1:idx + 2].tolist()
+    return g0 + delta * (gp - g0 if delta >= 0 else g0 - gm)
+
+
+def _strict_maxima(w: np.ndarray) -> np.ndarray:
+    """Strict local maxima of window values w: interior maxima ascending, then
+    the window start, then the window end, each end judged against its one
+    neighbour."""
+    interior = np.flatnonzero((w[1:-1] > w[:-2]) & (w[1:-1] > w[2:])) + 1
+    ends = [i for i, other in ((0, 1), (w.size - 1, w.size - 2))
+            if w.size >= 2 and w[i] > w[other]]
+    return np.concatenate((interior, np.array(ends, dtype=np.intp)))
+
+
+def _ranked(vals: np.ndarray, maxima: np.ndarray) -> np.ndarray:
+    """maxima (indices into vals) in the order pick_peaks picks them: by
+    value, descending; equal values keep the order given, which
+    _strict_maxima makes interior maxima by index, then window start, then
+    window end."""
+    return maxima[np.argsort(-vals[maxima], kind="stable")]
+
+
+def _estimate_set(est: list, fov_deg: float, peaks_found: int) -> DoaEstimateSet:
+    """Estimates from (angle, filled) pairs, sorted and clipped to +-fov."""
+    est.sort()
+    angles = tuple(min(fov_deg, max(-fov_deg, a)) for a, _ in est)
+    return DoaEstimateSet(angles=angles, filled=tuple(f for _, f in est),
+                          peaks_found=peaks_found)
 
 
 def pick_peaks(spectrum: Pseudospectrum, count: int,
@@ -310,18 +355,9 @@ def pick_peaks(spectrum: Pseudospectrum, count: int,
     if w.size < count:
         raise ValueError(f"window has {w.size} points, cannot place {count} estimates")
 
-    interior = np.flatnonzero((w[1:-1] > w[:-2]) & (w[1:-1] > w[2:])) + 1
-    maxima = list(interior)
-    if w.size >= 2 and w[0] > w[1]:
-        maxima.append(0)
-    if w.size >= 2 and w[-1] > w[-2]:
-        maxima.append(w.size - 1)
-    maxima.sort(key=lambda i: w[i], reverse=True)
-
-    chosen = maxima[:count]
+    chosen = _ranked(w, _strict_maxima(w))[:count].tolist()
     peaks_found = len(chosen)
-    logv = np.log(vals)
-    est = [(_refine(grid, logv, lo + i), False) for i in chosen]
+    est = [(_refine(grid, lo + i, vals, lo + i), False) for i in chosen]
 
     if peaks_found < count:
         leftover = np.argsort(w)[::-1]
@@ -332,7 +368,160 @@ def pick_peaks(spectrum: Pseudospectrum, count: int,
             if int(i) not in used:
                 used.add(int(i))
                 est.append((float(grid[lo + int(i)]), True))
-    est.sort()
-    angles = tuple(min(fov_deg, max(-fov_deg, a)) for a, _ in est)
-    return DoaEstimateSet(angles=angles, filled=tuple(f for _, f in est),
-                          peaks_found=peaks_found)
+    return _estimate_set(est, fov_deg, peaks_found)
+
+
+class _PeakSearch:
+    """pick_peaks of the MUSIC spectrum over one steering table, read off the
+    few blocks of the table that can hold a picked peak.
+
+    `steering` holds the columns of `grid`, a slice of an azimuth grid that
+    starts on a _SCAN_BLOCK boundary of it and covers the +-fov window with
+    one guard point per side. Its blocks are its aligned _SCAN_BLOCK-column
+    slices; the last may be partial. estimates(en, count) equals
+    pick_peaks(Pseudospectrum(grid, _spectrum(en, steering)), count, fov)
+    bit for bit:
+
+    - Bound. E_n has orthonormal columns, so for columns i and c,
+      ||E_n^H a_i|| >= ||E_n^H a_c|| - ||a_i - a_c||. Block b keeps its
+      middle column c_b and radius r_b = max_i ||a_i - a_c_b||, taken from
+      the table alone, so they hold for any pattern, coupling or coarray
+      table. With s_b = ||E_n^H a_c_b|| from one product at the reference
+      columns, every value in block b is at most
+      UB_b = 1 / max(lb_b^2, floor), lb_b = max((s_b - r_b)(1 - 1e-9) - slack, 0).
+    - Slack. Let u = 2**-53, N the table's rows and A = max_i ||a_i||.
+      Each entry of a computed E_n^H a errs by at most about N*u*||a||, as
+      E_n's columns have unit norm, so a computed s_b, and the square root
+      of a computed denominator, err by at most about N**1.5*u*A beyond
+      relative roundings of a few u. eigh's E_n is orthonormal only to
+      about N*u, which scales r_b <= 2A by up to 1 + N*u, and r_b carries a
+      relative rounding of about N*u itself. slack = max(1e-12,
+      4*N**1.5*eps)*A (eps = 2u) covers these terms, and also the relative
+      roundings, as every quantity involved is at most 2A; the factor
+      1 - 1e-9 is a further margin for the relative ones. So lb_b stays
+      below the computed root of every denominator in block b. Squaring,
+      the floor and the reciprocal are monotone when rounded, so UB_b
+      bounds every computed value too. A is taken as max_b ||a_c_b|| + r_b,
+      which is at least max_i ||a_i||.
+    - Search. The count-th largest local maximum of the spectrum at the
+      reference columns, lowered by 1e-6 relative, is a first threshold.
+      Window blocks whose bound reaches it are picked; they and both
+      neighbours of each are evaluated in one product over their columns
+      in ascending order, so every column takes the path it takes in the
+      full scan. That holds for whole blocks only: BLAS computes a
+      product's last (n mod kernel width) columns on a path that may also
+      depend on the product's size (OpenBLAS's real small-matrix kernel
+      does), so a partial last block is left to the full scan.
+    - Certificate. Every window value above rest, the largest UB_b of the
+      window blocks not picked, lies in a picked block, where both
+      neighbours of every column are known. If at least count strict
+      maxima exceed rest, the first count of them in pick_peaks' order are
+      the picks of the full scan.
+    - Otherwise the picked set doubles in bound order. The full window is
+      scanned and pick_peaks runs when the coarse pass shows fewer than
+      count maxima (filling reads every value), when more than half the
+      window's blocks or a partial last block would be evaluated, or when
+      E_n has one column.
+    """
+
+    def __init__(self, grid: np.ndarray, steering: np.ndarray, fov_deg: float):
+        self.grid, self.steering, self.fov = grid, steering, fov_deg
+        rows, size = steering.shape
+        full = size - size % _SCAN_BLOCK
+        self._columns = np.arange(full).reshape(-1, _SCAN_BLOCK)
+        self._partial = full // _SCAN_BLOCK if full < size else None
+        parts = [(0, steering[:, :full].reshape(rows, -1, _SCAN_BLOCK))]
+        if full < size:
+            parts.append((full, steering[:, None, full:]))
+        refs, radius = [], []
+        for start, blocks in parts:
+            # every column minus its block's middle column: one buffer the
+            # size of the table, read as real numbers
+            mid = blocks.shape[2] // 2
+            diff = blocks - blocks[:, :, mid, None]
+            reals = diff.view(float).reshape(*diff.shape, -1)
+            radius.append(np.einsum("ibjk,ibjk->bj", reals, reals).max(axis=1))
+            refs.append(start + mid + _SCAN_BLOCK * np.arange(blocks.shape[1]))
+        radius = np.sqrt(np.concatenate(radius))
+        self._refs = np.ascontiguousarray(steering[:, np.concatenate(refs)])
+        norm = float(np.max(np.sqrt(_sq_norms(self._refs)) + radius))
+        slack = max(1e-12, 4.0 * rows ** 1.5 * np.finfo(float).eps) * norm
+        self._shift = radius * (1.0 - 1e-9) + slack
+        window = fov_window(grid, fov_deg)
+        self._window = window.start, window.stop
+        self._blocks = slice(window.start // _SCAN_BLOCK,
+                             (window.stop - 1) // _SCAN_BLOCK + 1)
+
+    def _bounds(self, en: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(denominator at the reference columns, UB_b) for every block."""
+        denom = _sq_norms(en.conj().T @ self._refs)
+        ub = np.sqrt(denom)
+        ub *= 1.0 - 1e-9
+        ub -= self._shift
+        np.maximum(ub, 0.0, out=ub)
+        ub *= ub
+        np.maximum(ub, _DENOM_FLOOR, out=ub)
+        return denom, np.divide(1.0, ub, out=ub)
+
+    def estimates(self, en: np.ndarray, count: int) -> DoaEstimateSet:
+        # a one-column E_n takes BLAS's matrix-vector path, whose rounding
+        # of a column depends on where it sits, so it scans the whole window
+        est = self._search(en, count) if en.shape[1] > 1 else None
+        if est is None:
+            spectrum = Pseudospectrum(self.grid, _spectrum(en, self.steering))
+            est = pick_peaks(spectrum, count, self.fov)
+        return est
+
+    def _search(self, en: np.ndarray, count: int) -> DoaEstimateSet | None:
+        """Certified picks, or None when the full window must be scanned."""
+        denom, bound = self._bounds(en)
+        blocks = self._blocks
+        # spectrum maxima at the reference columns are denominator minima
+        dips = -denom[blocks]
+        dips = dips[_strict_maxima(dips)]
+        if dips.size < count:
+            return None
+        window_bound = bound[blocks]
+        first = dips.size - count
+        peak = 1.0 / max(-float(np.partition(dips, first)[first]), _DENOM_FLOOR)
+        picked = window_bound >= peak * (1.0 - 1e-6)
+        order = None
+        while True:
+            keep = np.zeros(bound.size + 2, dtype=bool)
+            keep[blocks.start + 1:blocks.stop + 1] = picked
+            kept = np.flatnonzero(keep[:-2] | keep[1:-1] | keep[2:])
+            if 2 * kept.size > window_bound.size or kept[-1] == self._partial:
+                return None
+            rest = float(np.max(window_bound, where=~picked, initial=0.0))
+            est = self._certified(en, kept, rest, count)
+            if est is not None:
+                return est
+            if order is None:
+                order = np.argsort(-window_bound, kind="stable")
+            picked[order[:2 * np.count_nonzero(picked)]] = True
+
+    def _certified(self, en: np.ndarray, kept: np.ndarray, rest: float,
+                   count: int) -> DoaEstimateSet | None:
+        """The picks from the exact values of the `kept` blocks, or None when
+        fewer than count maxima exceed `rest`."""
+        cols = self._columns[kept].ravel()
+        v = _spectrum(en, np.take(self.steering, cols, axis=1))
+        if not np.isfinite(v).all():
+            raise ValueError("spectrum values must be finite and positive")
+        # a value above rest lies in a picked block, so its neighbours in
+        # cols are its neighbours on the grid
+        lo, hi = self._window
+        j0, j1 = np.searchsorted(cols, (lo, hi)).tolist()
+        has_start, has_end = cols[j0] == lo, cols[j1 - 1] == hi - 1
+        a, b = max(j0 + has_start, 1), min(j1 - has_end, v.size - 1)
+        above = v[1:-1] > np.maximum(np.maximum(v[:-2], v[2:]), rest)
+        maxima = [np.flatnonzero(above[a - 1:b - 1]) + a]
+        if has_start and v[j0] > rest and v[j0] > v[j0 + 1]:
+            maxima.append([j0])
+        if has_end and v[j1 - 1] > rest and v[j1 - 1] > v[j1 - 2]:
+            maxima.append([j1 - 1])
+        chosen = _ranked(v, np.concatenate(maxima))[:count].tolist()
+        if len(chosen) < count:
+            return None
+        est = [(_refine(self.grid, int(cols[j]), v, j), False) for j in chosen]
+        return _estimate_set(est, self.fov, count)

@@ -12,6 +12,7 @@ the nominal manifold. That asymmetry is the calibration-mismatch model.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -21,9 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import (DoaEstimateSet, Pseudospectrum, azimuth_grid,
-                         coarray_music, fov_window, fov_window_size,
-                         music_pseudospectrum, pick_peaks, virtual_steering)
+from .estimators import (_SCAN_BLOCK, DoaEstimateSet, Pseudospectrum, _coarray_noise,
+                         _noise_projection, _PeakSearch, azimuth_grid, coarray_music,
+                         fov_window, fov_window_size, music_pseudospectrum, pick_peaks,
+                         virtual_steering)
 from .geometry import ArrayGeometry, GeometryError, is_perfect, named_geometry
 from .manifold import (SourceScenario, apply_coupling_model, generate_snapshots,
                        make_manifold, phase_ramp, sample_covariance, steering_matrix)
@@ -39,17 +41,11 @@ ESTIMATORS = ("element-music", "coarray-music")
 # free-space wave impedance, ohms
 ETA_0 = 376.730
 
-# highest SNR or element gain a config may set, dB
+# highest and lowest SNR or element gain a config may set, dB
 MAX_LEVEL_DB = 300.0
+MIN_LEVEL_DB = -300.0
 
 _OVERLOADED_ANGLES = (-54.0, -42.0, -30.0, -18.0, -6.0, 6.0, 18.0, 30.0, 42.0, 54.0)
-
-# A trial scans whole blocks of this many full-grid columns. BLAS computes
-# the last (n mod kernel width) columns of a matrix product on a separate
-# path, so a scan cut at any column would differ from a full-grid scan in
-# the last bits of its final columns; aligned blocks keep every column on
-# the path it takes in the full scan, for kernel widths dividing 16.
-_SCAN_BLOCK = 16
 
 
 class ConfigError(ValueError):
@@ -268,7 +264,9 @@ class ExperimentConfig:
                                   "manifold.pattern.file") from None
         else:
             pattern = make_pattern(self.pattern, **self.pattern_params)
-        # 10**(dB/10) of a larger level overflows the sample covariance
+        # 10**(dB/10) of a larger level overflows the sample covariance; a
+        # gain of a smaller level underflows the steering to zero, and a
+        # smaller SNR leaves no signal in the data
         levels = {"snr_db": [self.snr_db],
                   "sweep": self.sweep if self.family == "snr-sweep" else [],
                   "manifold.pattern.peak_gain_dbi": [pattern.params.get("peak_gain_dbi", 0)],
@@ -277,6 +275,9 @@ class ExperimentConfig:
             if max(values, default=0) > MAX_LEVEL_DB:
                 raise ConfigError(f"key {key!r}: {max(values):g} dB exceeds the "
                                   f"{MAX_LEVEL_DB:g} dB limit", key)
+            if min(values, default=0) < MIN_LEVEL_DB:
+                raise ConfigError(f"key {key!r}: {min(values):g} dB is below the "
+                                  f"{MIN_LEVEL_DB:g} dB limit", key)
         # validated once here; a tabulated pattern keeps the rows read here,
         # which the fingerprint hashes
         object.__setattr__(self, "_pattern", pattern)
@@ -443,7 +444,9 @@ class _TrialEngine:
     The scan covers only the +-fov pick window plus one guard point per side,
     widened to whole _SCAN_BLOCK blocks and sliced out of azimuth_grid(step),
     so that every spectrum value in it, and with it every estimate, is
-    bit-identical to a scan of the whole grid.
+    bit-identical to a scan of the whole grid. run_trial scans all of it;
+    estimate evaluates only the blocks _PeakSearch certifies, with the same
+    estimates.
 
     The data side of a trial, perturbed patterns times the phase ramp, then
     the coupling matrix, is built in one pass from the validated config; it
@@ -470,6 +473,12 @@ class _TrialEngine:
                                        config.coupling_decay)
         self.coupling = coupled.coupling
 
+    @functools.cached_property
+    def search(self) -> _PeakSearch:
+        """The pruned search over the scan, built on first use: run_trial,
+        and with it the demo, never needs it."""
+        return _PeakSearch(self.grid, self.steering, self.cfg.fov_deg)
+
     def _coupled(self, a: np.ndarray) -> np.ndarray:
         return a if self.coupling is None else self.coupling @ a
 
@@ -494,21 +503,37 @@ class _TrialEngine:
                                 point.scenario.angles)
         return self._coupled(gains * point.ramp)
 
-    def run_trial(self, point: _Point,
-                  trial_index: int) -> tuple[Pseudospectrum, DoaEstimateSet]:
+    def _covariance(self, point: _Point, trial_index: int) -> np.ndarray:
         cfg = self.cfg
         root = np.random.SeedSequence([cfg.seed, point.index, trial_index])
         pert_seq, snap_seq = root.spawn(2)
         snaps = generate_snapshots(self.nominal, point.scenario, cfg.snapshots,
                                    np.random.default_rng(snap_seq),
                                    steering=self.data_steering(point, pert_seq))
-        r = sample_covariance(snaps)
+        return sample_covariance(snaps)
+
+    def run_trial(self, point: _Point,
+                  trial_index: int) -> tuple[Pseudospectrum, DoaEstimateSet]:
+        """Trial `trial_index` of `point`: its spectrum over the whole scan
+        and the picks from it."""
+        r = self._covariance(point, trial_index)
         l = point.scenario.source_count
-        if cfg.estimator == "coarray-music":
+        if self.cfg.estimator == "coarray-music":
             ps = coarray_music(r, self.geometry, l, self.grid, self.steering)
         else:
             ps = music_pseudospectrum(r, self.nominal, l, self.grid, self.steering)
-        return ps, pick_peaks(ps, l, cfg.fov_deg)
+        return ps, pick_peaks(ps, l, self.cfg.fov_deg)
+
+    def estimate(self, point: _Point, trial_index: int) -> DoaEstimateSet:
+        """The estimates of run_trial(point, trial_index), bit for bit, from
+        the pruned search."""
+        r = self._covariance(point, trial_index)
+        l = point.scenario.source_count
+        if self.cfg.estimator == "coarray-music":
+            en = _coarray_noise(r, self.geometry, l)
+        else:
+            en = _noise_projection(r, l, self.geometry.element_count)
+        return self.search.estimates(en, l)
 
 
 def run_point(config: ExperimentConfig, point_index: int, *,
@@ -517,7 +542,8 @@ def run_point(config: ExperimentConfig, point_index: int, *,
 
     Returns (per-trial RMSE array, per-trial fill counts), in trial order.
     Every trial owns a stream keyed by (seed, point index, trial index), so
-    entry t equals what engine.run_trial(point, t) gives on its own. `engine`
+    entry t equals what engine.run_trial(point, t) gives on its own; the
+    trials run through the engine's pruned search. `engine`
     lets a sweep share one engine, built for the same config, across its
     points.
     """
@@ -533,7 +559,7 @@ def run_point(config: ExperimentConfig, point_index: int, *,
     errs = np.empty(config.trials)
     fills = np.empty(config.trials, dtype=int)
     for t in range(config.trials):
-        _, est = engine.run_trial(point, t)
+        est = engine.estimate(point, t)
         errs[t] = rmse(est.angles, truth)
         fills[t] = est.fill_count
     return errs, fills

@@ -106,6 +106,10 @@ def _with_key(conf: str, key: str, value: str) -> str:
     ("snr_db", "7000"),
     ("sweep", "[-5, 4000]"),
     ("manifold.pattern.peak_gain_dbi", "8000"),
+    # levels whose 10**(dB/20) underflows the steering or leaves no signal
+    ("snr_db", "-7000"),
+    ("sweep", "[-4000, 5]"),
+    ("manifold.pattern.peak_gain_dbi", "-8000"),
 ])
 def test_sweep_invalid_scalar_exits_2(tmp_path, capsys, key, value):
     # rejected at parse time, naming the key, before any trial runs

@@ -1,13 +1,16 @@
 import io
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from doasim.config import (parse_config, parse_config_text, read_results,
                            serialize_config, write_results)
-from doasim.experiments import (MAX_LEVEL_DB, ConfigError, ExperimentConfig,
-                                SweepResult, run_point)
+from doasim.cli import main
+from doasim.experiments import (ESTIMATORS, MAX_LEVEL_DB, MIN_LEVEL_DB, ConfigError,
+                                ExperimentConfig, SweepResult, run_point)
 
 SAMPLE = """\
 # two-source accuracy sweep
@@ -79,6 +82,82 @@ def test_roundtrip_parse_serialize_parse():
     again = parse_config_text(text)
     assert again == cfg
     assert serialize_config(again) == text
+
+
+_PATTERNS = st.one_of(
+    st.tuples(st.sampled_from(["isotropic", "dipole_ref"]), st.just({})),
+    st.tuples(st.just("patch"), st.fixed_dictionaries(
+        {}, optional={"peak_gain_dbi": st.floats(-300.0, 300.0),
+                      "exponent": st.floats(0.1, 4.0)})),
+    st.tuples(st.just("vivaldi"), st.fixed_dictionaries(
+        {}, optional={"peak_gain_dbi": st.floats(-300.0, 300.0)})))
+
+
+@st.composite
+def _configs(draw):
+    family = draw(st.sampled_from(["symmetric-pair-angle-sweep", "snr-sweep",
+                                   "fixed-scenario", "overloaded-demo"]))
+    estimator = draw(st.sampled_from(ESTIMATORS))
+    geometry = draw(st.sampled_from(["ula4", "ula8", "mra4", "mra8"]
+                                    + ([(0, 1, 5, 7), [0, 2, 3]]
+                                       if estimator == "element-music" else [])))
+    pattern, params = draw(_PATTERNS)
+    fov = draw(st.floats(1.0, 90.0))
+    step = draw(st.floats(0.01, 0.5))
+    inside = st.floats(-fov, fov)
+    kwargs = {}
+    if family == "symmetric-pair-angle-sweep":
+        kwargs["sweep"] = tuple(sorted(draw(st.sets(st.floats(step, fov), min_size=1,
+                                                    max_size=4))))
+    else:
+        kwargs["angles"] = tuple(draw(st.sets(inside, min_size=1, max_size=3)))
+    if family == "snr-sweep":
+        kwargs["sweep"] = tuple(sorted(draw(st.sets(st.floats(-300.0, 300.0),
+                                                    min_size=1, max_size=4))))
+    try:
+        return ExperimentConfig(
+            family=family, geometry=geometry, pattern=pattern, pattern_params=params,
+            coupling_c1=draw(st.floats(-0.99, 0.99)),
+            coupling_decay=draw(st.floats(0.01, 0.99)),
+            phase_noise_std_deg=draw(st.floats(0.0, 30.0)),
+            param_tolerance=draw(st.floats(0.0, 0.99)),
+            snr_db=draw(st.floats(-300.0, 300.0)), snapshots=draw(st.integers(1, 5000)),
+            trials=draw(st.integers(1, 10**6)), estimator=estimator, fov_deg=fov,
+            grid_step_deg=step, seed=draw(st.integers(0, 2**63)), **kwargs)
+    except ConfigError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=_configs())
+def test_serialize_parse_serialize_roundtrip(cfg):
+    text = serialize_config(cfg)
+    again = parse_config_text(text)
+    assert again == cfg
+    assert again.fingerprint() == cfg.fingerprint()
+    assert serialize_config(again) == text
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(_FINITE, _FINITE, st.integers(0, 10**9),
+                               st.integers(0, 10**9)), max_size=30),
+       fingerprint=st.text("0123456789abcdef", min_size=1, max_size=16),
+       seed=st.integers(0, 2**63))
+def test_write_read_results_roundtrip(rows, fingerprint, seed):
+    result = SweepResult(params=tuple(r[0] for r in rows),
+                         rmse_deg=tuple(r[1] for r in rows),
+                         trials=tuple(r[2] for r in rows),
+                         fill_counts=tuple(r[3] for r in rows),
+                         fingerprint=fingerprint, seed=seed)
+    buf = io.StringIO()
+    write_results(result, buf)
+    again = read_results(io.StringIO(buf.getvalue()))
+    assert again == result
+    assert [np.signbit(x) for x in again.params + again.rmse_deg] == \
+        [np.signbit(x) for x in result.params + result.rmse_deg]
 
 
 def test_serialize_includes_resolved_defaults():
@@ -178,6 +257,26 @@ def test_levels_up_to_the_limit_run_finite():
     with pytest.raises(ConfigError, match="snr_db"):
         ExperimentConfig(family="fixed-scenario", geometry="mra8", pattern="patch",
                          snr_db=MAX_LEVEL_DB + 1)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_levels_down_to_the_lower_limit_run_finite(tmp_path, capsys, estimator):
+    # the smallest SNR and gain a config may set run finite without a numpy
+    # warning; one dB less exits 2 at parse time
+    cfg = ExperimentConfig(family="fixed-scenario", geometry="mra8", pattern="vivaldi",
+                           pattern_params={"peak_gain_dbi": MIN_LEVEL_DB},
+                           snr_db=MIN_LEVEL_DB, estimator=estimator,
+                           snapshots=16, trials=2, grid_step_deg=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errs, _ = run_point(cfg, 0)
+    assert np.all(np.isfinite(errs))
+    for key in ("snr_db", "manifold.pattern.peak_gain_dbi"):
+        conf = tmp_path / "low.conf"
+        conf.write_text(serialize_config(cfg).replace(f"{key} = {MIN_LEVEL_DB!r}",
+                                                      f"{key} = {MIN_LEVEL_DB - 1!r}"))
+        assert main(["sweep", "--config", str(conf), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_tabulated_fingerprint_hashes_table_rows(tmp_path):

@@ -392,3 +392,183 @@ def test_azimuth_grid_defaults():
         azimuth_grid(0.0)
     with pytest.raises(ValueError):
         azimuth_grid(0.01, 120.0)
+
+
+# ------------------------------------------------------------ pruned search
+
+def _bumps(size, centres, width=20.0, height=100.0):
+    """1 plus a Lorentzian bump per centre; a centre given as (c, left, right)
+    has its own half-widths on either side."""
+    i = np.arange(size, dtype=float)
+    vals = np.ones(size)
+    for c in centres:
+        c, left, right = c if isinstance(c, tuple) else (c, width, width)
+        vals += height / (1.0 + ((i - c) / np.where(i < c, left, right)) ** 2)
+    return vals
+
+
+def _hand_search(grid, vals, fov):
+    # a three-row real table whose spectrum under the noise subspace (e1, e2)
+    # is exactly 1 / (1 / sqrt(vals))**2; a one-column subspace would always
+    # take the full scan
+    table = np.vstack((1.0 / np.sqrt(vals), np.zeros((2, vals.size))))
+    return estimators._PeakSearch(grid, table, fov), np.eye(3)[:, :2], table
+
+
+def _scan_grid(fov, step=0.1):
+    """The block-aligned slice of azimuth_grid(step) that the trial engine
+    scans for a +-fov window."""
+    full = azimuth_grid(step)
+    window = fov_window(full, fov, guard=1)
+    start = window.start - window.start % 16
+    return full[start:min(window.stop + (-window.stop) % 16, full.size)]
+
+
+def _pruned_and_full(monkeypatch, vals, count, fov=89.0, grid=None):
+    """The pruned search's estimates, checked equal to pick_peaks on the full
+    spectrum, and how many times it fell back to the full scan."""
+    grid = _scan_grid(fov) if grid is None else grid
+    search, en, table = _hand_search(grid, vals, fov)
+    full = pick_peaks(Pseudospectrum(grid, estimators._spectrum(en, table)), count, fov)
+    fallbacks = []
+    original = estimators.pick_peaks
+
+    def counting(*args):
+        fallbacks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(estimators, "pick_peaks", counting)
+    got = search.estimates(en, count)
+    monkeypatch.undo()
+    assert got == full
+    return got, len(fallbacks)
+
+
+@pytest.mark.parametrize("count, picked", [(1, [600]), (3, [10, 600, 1200])])
+def test_pruned_search_breaks_ties_as_pick_peaks(monkeypatch, count, picked):
+    # four maxima of exactly equal value: interior maxima win by index, then
+    # the window start (-89 deg), then the window end (+89 deg)
+    grid = _scan_grid(89.0)
+    vals = _bumps(grid.size, [10, 600, 1200, 1790])
+    vals[[10, 600, 1200, 1790]] = 1000.0
+    est, fallbacks = _pruned_and_full(monkeypatch, vals, count)
+    assert fallbacks == 0
+    assert np.allclose(est.angles, grid[picked], atol=0.05)
+
+
+def test_pruned_search_maximum_on_block_edge(monkeypatch):
+    # two peaks on block edges that fall off within a column on that side,
+    # so the block beyond is evaluated only as a neighbour, and two broad
+    # bumps whose blocks come before and after them in the gather
+    vals = _bumps(1792, [(16 * 30, 0.5, 20.0), (16 * 50 + 15, 20.0, 0.5)])
+    vals += _bumps(1792, [16 * 10 + 8, 16 * 70 + 8], height=50.0) - 1.0
+    est, fallbacks = _pruned_and_full(monkeypatch, vals, 4)
+    assert fallbacks == 0
+    assert est.peaks_found == 4
+
+
+@pytest.mark.parametrize("outside", [0, 3])
+def test_pruned_search_maxima_on_window_endpoints(monkeypatch, outside):
+    # a +-45 deg window inside a block-aligned scan with one guard point per
+    # side; bumps centred on the window ends, or beyond them so that the
+    # guard point outranks the end and the refinement clips
+    grid = _scan_grid(45.0)
+    window = fov_window(grid, 45.0)
+    vals = _bumps(grid.size, [window.start - outside, window.stop - 1 + outside])
+    est, fallbacks = _pruned_and_full(monkeypatch, vals, 2, fov=45.0)
+    assert fallbacks == 0
+    if outside:
+        assert est.angles == (-45.0, 45.0)
+
+
+def test_pruned_search_leaves_partial_last_block_to_full_scan(monkeypatch):
+    # 18,001 columns: the last block holds only +90 deg. BLAS's real
+    # small-matrix kernel rounds a product's last columns differently from
+    # the full-size product, so a peak there is found by the full scan, and
+    # every value the search does evaluate equals the full scan's
+    grid = azimuth_grid(0.01)
+    assert grid.size % 16 == 1
+    vals = _bumps(grid.size, [9000, grid.size - 1])
+    q = np.linalg.qr(np.random.default_rng(5).normal(size=(16, 16)))[0]
+    rows = np.vstack((1.0 / np.sqrt(vals),
+                      1e-3 * np.random.default_rng(6).normal(size=(15, grid.size))))
+    table, en = q @ rows, q[:, :12]
+    full = estimators._spectrum(en, table)
+    kept, values = [], []
+    certified, spectrum = estimators._PeakSearch._certified, estimators._spectrum
+
+    def recording_certified(self, noise, blocks, *args):
+        kept.append(blocks)
+        return certified(self, noise, blocks, *args)
+
+    def recording_spectrum(noise, steering):
+        values.append(spectrum(noise, steering))
+        return values[-1]
+
+    monkeypatch.setattr(estimators._PeakSearch, "_certified", recording_certified)
+    monkeypatch.setattr(estimators, "_spectrum", recording_spectrum)
+    est = estimators._PeakSearch(grid, table, 90.0).estimates(en, 2)
+    monkeypatch.undo()
+    assert est == pick_peaks(Pseudospectrum(grid, full), 2)
+    assert 90.0 in est.angles
+    for blocks, got in zip(kept, values):
+        cols = (blocks[:, None] * 16 + np.arange(16)).ravel()
+        assert np.array_equal(got, full[cols[cols < grid.size]])
+
+
+def test_pruned_search_certifies_after_doubling(monkeypatch):
+    # the highest bump has a flat top, so it holds no strict maximum: the
+    # first blocks picked show only one maximum, and the picked set doubles
+    # until the third bump's block is in it
+    vals = _bumps(1792, [400, 900, 1400], height=100.0)
+    vals[400] += 5.0
+    vals[[399, 401]] = vals[400]
+    vals[1300:1501] = _bumps(1792, [1400], height=40.0)[1300:1501] + 1.0
+    rounds = []
+    original = estimators._PeakSearch._certified
+
+    def counting(self, *args):
+        out = original(self, *args)
+        rounds.append(out)
+        return out
+
+    monkeypatch.setattr(estimators._PeakSearch, "_certified", counting)
+    _, fallbacks = _pruned_and_full(monkeypatch, vals, 2)
+    assert fallbacks == 0
+    assert len(rounds) > 1 and rounds[-1] is not None
+
+
+def test_pruned_search_falls_back_to_fill(monkeypatch):
+    # a monotone spectrum holds one maximum; the second estimate is filled
+    # from the largest leftover values, which needs the whole window
+    est, fallbacks = _pruned_and_full(monkeypatch, np.linspace(1.0, 2.0, 1792), 2)
+    assert fallbacks == 1
+    assert est.fill_count == 1
+
+
+def test_pruned_search_falls_back_when_most_blocks_qualify(monkeypatch):
+    # a ripple with a maximum in nearly every block leaves no block that
+    # its bound can rule out
+    i = np.arange(1792)
+    _, fallbacks = _pruned_and_full(monkeypatch, 2.0 + np.sin(2 * np.pi * i / 19.0), 1)
+    assert fallbacks == 1
+
+
+def test_pruned_search_bound_holds_where_it_is_tight():
+    # columns that are positive multiples of the noise vector make the
+    # triangle inequality an equality, so only the slack keeps every
+    # computed value at or below its block's bound
+    grid = azimuth_grid(0.01)
+    rng = np.random.default_rng(3)
+    en = np.linalg.qr(rng.normal(size=(6, 2)))[0]
+    scale = rng.uniform(0.2, 1.0, grid.size)
+    # a block whose smallest column nearly vanishes leaves a bound far
+    # below the roundings of s_b and r_b
+    every_other = np.arange(0, grid.size - 16, 32)
+    scale[every_other + rng.integers(0, 16, every_other.size)] = 1e-8
+    table = np.outer(en[:, 0], scale)
+    search = estimators._PeakSearch(grid, table, 90.0)
+    _, bound = search._bounds(en)
+    vals = estimators._spectrum(en, table)
+    block_max = np.maximum.reduceat(vals, np.arange(0, grid.size, 16))
+    assert np.all(block_max <= bound)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from doasim import estimators, experiments
 from doasim.estimators import (azimuth_grid, coarray_music, fov_window,
@@ -326,6 +326,62 @@ def test_engine_data_steering_matches_public_replay(table_file, kind, c1, phase_
     got = engine.data_steering(point, _trial_streams(cfg, 0, trial)[0])
     replay = _replay_data_manifold(cfg, _trial_streams(cfg, 0, trial)[0])
     assert np.array_equal(got, steering_matrix(replay, point.scenario.angles))
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=st.sampled_from(["ula4", "ula8", "mra4", "mra8", (0, 1, 5, 7)]),
+       kind=st.sampled_from(["isotropic", "dipole_ref", "patch", "vivaldi", "tabulated"]),
+       estimator=st.sampled_from(ESTIMATORS),
+       fov=st.sampled_from([5.0, 30.0, 45.5, 60.0, 89.0, 90.0]),
+       step=st.sampled_from([0.01, 0.013, 0.05, 0.1, 0.5]),
+       spots=st.lists(st.floats(-0.98, 0.98), min_size=1, max_size=5, unique=True),
+       snr=st.floats(-20.0, 20.0), snapshots=st.sampled_from([4, 16, 64]),
+       c1=st.sampled_from([0.0, 0.3]), phase_noise=st.sampled_from([0.0, 4.0]),
+       tolerance=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**32 - 1))
+def test_engine_pruned_search_matches_full_scan(table_file, geometry, kind, estimator,
+                                                fov, step, spots, snr, snapshots, c1,
+                                                phase_noise, tolerance, seed):
+    # run_point's pruned search gives run_trial's estimates (angles, fills,
+    # peaks_found), and every spectrum value it evaluates equals the
+    # full-scan value bit for bit. The vivaldi pattern has nulls at +-50 deg.
+    angles = tuple(sorted({round(fov * x, 3) for x in spots}))
+    try:
+        cfg = ExperimentConfig(family="fixed-scenario", geometry=geometry, pattern=kind,
+                               pattern_params={"file": table_file}
+                               if kind == "tabulated" else {},
+                               angles=angles, snr_db=snr, snapshots=snapshots,
+                               trials=3, estimator=estimator, fov_deg=fov,
+                               grid_step_deg=step, coupling_c1=c1,
+                               phase_noise_std_deg=phase_noise,
+                               param_tolerance=tolerance, seed=seed)
+    except ConfigError:
+        assume(False)
+    engine = experiments._TrialEngine(cfg)
+    point = engine.point(0)
+    kept, values = [], []
+    certified = estimators._PeakSearch._certified
+    spectrum = estimators._spectrum
+
+    def recording_certified(self, en, blocks, rest, count):
+        kept.append(blocks)
+        return certified(self, en, blocks, rest, count)
+
+    def recording_spectrum(en, steering):
+        values.append(spectrum(en, steering))
+        return values[-1]
+
+    for t in range(cfg.trials):
+        full, expected = engine.run_trial(point, t)
+        kept.clear()
+        values.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators._PeakSearch, "_certified", recording_certified)
+            mp.setattr(estimators, "_spectrum", recording_spectrum)
+            assert engine.estimate(point, t) == expected
+        for blocks, got in zip(kept, values):
+            cols = (blocks[:, None] * 16 + np.arange(16)).ravel()
+            cols = cols[cols < engine.grid.size]
+            assert np.array_equal(got, full.values[cols])
 
 
 def test_run_point_trial_streams_differ():
