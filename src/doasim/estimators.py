@@ -20,6 +20,7 @@ from .manifold import ArrayManifold, steering_matrix
 _DENOM_FLOOR = 1e-300
 # grid points this far outside +-fov still belong to the pick window
 _FOV_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 # Scans are cut in aligned blocks of this many full-grid columns. BLAS
 # computes the last (n mod kernel width) columns of a matrix product on a
@@ -95,9 +96,10 @@ class Pseudospectrum:
         v = np.asarray(self.values, dtype=float)
         if g.shape != v.shape or g.ndim != 1 or g.size < 3:
             raise ValueError("grid and values must be equal-length 1-d arrays (>= 3 points)")
-        if np.any(np.diff(g) <= 0):
+        if (np.diff(g) <= 0).any():
             raise ValueError("grid must be strictly increasing")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0):
+        # NaN fails both comparisons
+        if not ((v > 0) & (v < np.inf)).all():
             raise ValueError("spectrum values must be finite and positive")
         g.flags.writeable = False
         v.flags.writeable = False
@@ -294,15 +296,15 @@ def coarray_music(r: np.ndarray, geometry: ArrayGeometry, source_count: int,
     return Pseudospectrum(grid, _spectrum(en, steering))
 
 
-def _refine(grid: np.ndarray, idx: int, vals: np.ndarray, at: int) -> float:
-    """3-point parabolic vertex near grid[idx] through the log of
-    vals[at-1:at+2], the spectrum at grid[idx-1:idx+2]; a peak on the edge
-    of the scanned grid passes through."""
+def _refine(grid: np.ndarray, vals: np.ndarray, idx: int) -> float:
+    """3-point parabolic vertex through the log spectrum at grid[idx-1:idx+2];
+    grid edges pass through."""
     if idx == 0 or idx == grid.size - 1:
         return float(grid[idx])
-    ym, y0, yp = np.log(vals[at - 1:at + 2]).tolist()
+    ym, y0, yp = np.log(vals[idx - 1:idx + 2]).tolist()
     curv = ym - 2.0 * y0 + yp
-    if curv == 0.0:
+    # a curvature within the rounding of the three logs is no curvature
+    if abs(curv) <= 4.0 * _EPS * (abs(ym) + 2.0 * abs(y0) + abs(yp)):
         return float(grid[idx])
     delta = 0.5 * (ym - yp) / curv
     delta = min(0.5, max(-0.5, delta))
@@ -320,30 +322,15 @@ def _strict_maxima(w: np.ndarray) -> np.ndarray:
     return np.concatenate((interior, np.array(ends, dtype=np.intp)))
 
 
-def _ranked(vals: np.ndarray, maxima: np.ndarray) -> np.ndarray:
-    """maxima (indices into vals) in the order pick_peaks picks them: by
-    value, descending; equal values keep the order given, which
-    _strict_maxima makes interior maxima by index, then window start, then
-    window end."""
-    return maxima[np.argsort(-vals[maxima], kind="stable")]
-
-
-def _estimate_set(est: list, fov_deg: float, peaks_found: int) -> DoaEstimateSet:
-    """Estimates from (angle, filled) pairs, sorted and clipped to +-fov."""
-    est.sort()
-    angles = tuple(min(fov_deg, max(-fov_deg, a)) for a, _ in est)
-    return DoaEstimateSet(angles=angles, filled=tuple(f for _, f in est),
-                          peaks_found=peaks_found)
-
-
 def pick_peaks(spectrum: Pseudospectrum, count: int,
                fov_deg: float = 90.0) -> DoaEstimateSet:
     """Select the `count` largest strict local maxima inside |phi| <= fov.
 
-    Window endpoints count as maxima against their single neighbor. Each
-    interior peak is refined by a parabolic fit to the log spectrum. When
-    fewer than `count` maxima exist, the remaining estimates are filled
-    from the largest unclaimed grid values and flagged.
+    Window endpoints count as maxima against their single neighbor; equal
+    maxima rank interior ones by index, then the window start, then the
+    window end. Each interior peak is refined by a parabolic fit to the log
+    spectrum. When fewer than `count` maxima exist, the remaining estimates
+    are filled from the largest unclaimed grid values and flagged.
     """
     grid, vals = spectrum.grid, spectrum.values
     if count < 1:
@@ -355,9 +342,10 @@ def pick_peaks(spectrum: Pseudospectrum, count: int,
     if w.size < count:
         raise ValueError(f"window has {w.size} points, cannot place {count} estimates")
 
-    chosen = _ranked(w, _strict_maxima(w))[:count].tolist()
+    maxima = _strict_maxima(w)
+    chosen = maxima[np.argsort(-w[maxima], kind="stable")][:count].tolist()
     peaks_found = len(chosen)
-    est = [(_refine(grid, lo + i, vals, lo + i), False) for i in chosen]
+    est = [(_refine(grid, vals, lo + i), False) for i in chosen]
 
     if peaks_found < count:
         leftover = np.argsort(w)[::-1]
@@ -368,19 +356,30 @@ def pick_peaks(spectrum: Pseudospectrum, count: int,
             if int(i) not in used:
                 used.add(int(i))
                 est.append((float(grid[lo + int(i)]), True))
-    return _estimate_set(est, fov_deg, peaks_found)
+    est.sort()
+    angles = tuple(min(fov_deg, max(-fov_deg, a)) for a, _ in est)
+    return DoaEstimateSet(angles=angles, filled=tuple(f for _, f in est),
+                          peaks_found=peaks_found)
+
+
+def _scan_slice(grid: np.ndarray, fov_deg: float) -> slice:
+    """The columns of azimuth grid `grid` that a sweep scans: the +-fov pick
+    window with one guard point per side, widened to whole _SCAN_BLOCK
+    blocks of `grid`, as _PeakSearch needs."""
+    window = fov_window(grid, fov_deg, guard=1)
+    start = window.start - window.start % _SCAN_BLOCK
+    return slice(start, min(window.stop + (-window.stop) % _SCAN_BLOCK, grid.size))
 
 
 class _PeakSearch:
-    """pick_peaks of the MUSIC spectrum over one steering table, read off the
-    few blocks of the table that can hold a picked peak.
+    """The MUSIC spectrum over one steering table, cut down to the few blocks
+    of the table that can hold a peak pick_peaks picks.
 
-    `steering` holds the columns of `grid`, a slice of an azimuth grid that
-    starts on a _SCAN_BLOCK boundary of it and covers the +-fov window with
-    one guard point per side. Its blocks are its aligned _SCAN_BLOCK-column
-    slices; the last may be partial. estimates(en, count) equals
-    pick_peaks(Pseudospectrum(grid, _spectrum(en, steering)), count, fov)
-    bit for bit:
+    `grid` is azimuth_grid(step)[_scan_slice(azimuth_grid(step), fov)] and
+    `steering` holds its columns. Its blocks are its aligned _SCAN_BLOCK-column
+    slices; the last may be partial. spectrum(en, count) is a Pseudospectrum
+    on which pick_peaks(., count, fov) gives what it gives on the full scan
+    Pseudospectrum(grid, _spectrum(en, steering)), bit for bit:
 
     - Bound. E_n has orthonormal columns, so for columns i and c,
       ||E_n^H a_i|| >= ||E_n^H a_c|| - ||a_i - a_c||. Block b keeps its
@@ -399,10 +398,10 @@ class _PeakSearch:
       4*N**1.5*eps)*A (eps = 2u) covers these terms, and also the relative
       roundings, as every quantity involved is at most 2A; the factor
       1 - 1e-9 is a further margin for the relative ones. So lb_b stays
-      below the computed root of every denominator in block b. Squaring,
-      the floor and the reciprocal are monotone when rounded, so UB_b
-      bounds every computed value too. A is taken as max_b ||a_c_b|| + r_b,
-      which is at least max_i ||a_i||.
+      below the computed root of every denominator in block b, whichever
+      product computes it. Squaring, the floor and the reciprocal are
+      monotone when rounded, so UB_b bounds every computed value too. A is
+      taken as max_b ||a_c_b|| + r_b, which is at least max_i ||a_i||.
     - Search. The count-th largest local maximum of the spectrum at the
       reference columns, lowered by 1e-6 relative, is a first threshold.
       Window blocks whose bound reaches it are picked; they and both
@@ -412,16 +411,23 @@ class _PeakSearch:
       product's last (n mod kernel width) columns on a path that may also
       depend on the product's size (OpenBLAS's real small-matrix kernel
       does), so a partial last block is left to the full scan.
-    - Certificate. Every window value above rest, the largest UB_b of the
-      window blocks not picked, lies in a picked block, where both
-      neighbours of every column are known. If at least count strict
-      maxima exceed rest, the first count of them in pick_peaks' order are
-      the picks of the full scan.
-    - Otherwise the picked set doubles in bound order. The full window is
-      scanned and pick_peaks runs when the coarse pass shows fewer than
-      count maxima (filling reads every value), when more than half the
-      window's blocks or a partial last block would be evaluated, or when
-      E_n has one column.
+    - Compact spectrum. The evaluated columns, and the first and last
+      column of the table where they do not reach them, with values from
+      the coarse product, which also takes those two columns. It spans the
+      full scan's grid, so pick_peaks accepts the same fov.
+    - Certificate. Let rest be the largest UB_b of the window blocks not
+      picked. A window value above rest lies in a picked block, whose
+      columns have their grid neighbours next to them in the compact
+      spectrum, so it is a strict maximum there exactly when it is one in
+      the full scan, by the same rule. Every other value of the compact
+      window is at most rest. If at least count strict maxima of the
+      compact window exceed rest, pick_peaks on it therefore picks the
+      full scan's peaks in the same order, and refines them from the same
+      neighbours.
+    - Otherwise the picked set doubles in bound order. The full scan is
+      returned when the coarse pass shows fewer than count maxima (filling
+      reads every value), when more than half the window's blocks or a
+      partial last block would be evaluated, or when E_n has one column.
     """
 
     def __init__(self, grid: np.ndarray, steering: np.ndarray, fov_deg: float):
@@ -443,19 +449,20 @@ class _PeakSearch:
             radius.append(np.einsum("ibjk,ibjk->bj", reals, reals).max(axis=1))
             refs.append(start + mid + _SCAN_BLOCK * np.arange(blocks.shape[1]))
         radius = np.sqrt(np.concatenate(radius))
-        self._refs = np.ascontiguousarray(steering[:, np.concatenate(refs)])
-        norm = float(np.max(np.sqrt(_sq_norms(self._refs)) + radius))
+        self._ends = np.array([0, size - 1])
+        self._refs = np.ascontiguousarray(steering[:, np.concatenate(refs + [self._ends])])
+        norm = float(np.max(np.sqrt(_sq_norms(self._refs[:, :-2])) + radius))
         slack = max(1e-12, 4.0 * rows ** 1.5 * np.finfo(float).eps) * norm
         self._shift = radius * (1.0 - 1e-9) + slack
         window = fov_window(grid, fov_deg)
-        self._window = window.start, window.stop
         self._blocks = slice(window.start // _SCAN_BLOCK,
                              (window.stop - 1) // _SCAN_BLOCK + 1)
 
     def _bounds(self, en: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(denominator at the reference columns, UB_b) for every block."""
+        """(denominator at the reference columns and at the table's first
+        and last column, UB_b for every block)."""
         denom = _sq_norms(en.conj().T @ self._refs)
-        ub = np.sqrt(denom)
+        ub = np.sqrt(denom[:-2])
         ub *= 1.0 - 1e-9
         ub -= self._shift
         np.maximum(ub, 0.0, out=ub)
@@ -463,18 +470,19 @@ class _PeakSearch:
         np.maximum(ub, _DENOM_FLOOR, out=ub)
         return denom, np.divide(1.0, ub, out=ub)
 
-    def estimates(self, en: np.ndarray, count: int) -> DoaEstimateSet:
+    def spectrum(self, en: np.ndarray, count: int) -> Pseudospectrum:
         # a one-column E_n takes BLAS's matrix-vector path, whose rounding
-        # of a column depends on where it sits, so it scans the whole window
-        est = self._search(en, count) if en.shape[1] > 1 else None
-        if est is None:
-            spectrum = Pseudospectrum(self.grid, _spectrum(en, self.steering))
-            est = pick_peaks(spectrum, count, self.fov)
-        return est
+        # of a column depends on where it sits, so it scans the whole table
+        compact = self._search(en, count) if en.shape[1] > 1 else None
+        if compact is None:
+            return Pseudospectrum(self.grid, _spectrum(en, self.steering))
+        return compact
 
-    def _search(self, en: np.ndarray, count: int) -> DoaEstimateSet | None:
-        """Certified picks, or None when the full window must be scanned."""
+    def _search(self, en: np.ndarray, count: int) -> Pseudospectrum | None:
+        """The certified compact spectrum, or None when the full table must
+        be scanned."""
         denom, bound = self._bounds(en)
+        ends = 1.0 / np.maximum(denom[-2:], _DENOM_FLOOR)
         blocks = self._blocks
         # spectrum maxima at the reference columns are denominator minima
         dips = -denom[blocks]
@@ -492,36 +500,22 @@ class _PeakSearch:
             kept = np.flatnonzero(keep[:-2] | keep[1:-1] | keep[2:])
             if 2 * kept.size > window_bound.size or kept[-1] == self._partial:
                 return None
+            compact = self._compact(en, kept, ends)
+            w = compact.values[fov_window(compact.grid, self.fov)]
             rest = float(np.max(window_bound, where=~picked, initial=0.0))
-            est = self._certified(en, kept, rest, count)
-            if est is not None:
-                return est
+            if np.count_nonzero(w[_strict_maxima(w)] > rest) >= count:
+                return compact
             if order is None:
                 order = np.argsort(-window_bound, kind="stable")
             picked[order[:2 * np.count_nonzero(picked)]] = True
 
-    def _certified(self, en: np.ndarray, kept: np.ndarray, rest: float,
-                   count: int) -> DoaEstimateSet | None:
-        """The picks from the exact values of the `kept` blocks, or None when
-        fewer than count maxima exceed `rest`."""
+    def _compact(self, en: np.ndarray, kept: np.ndarray,
+                 ends: np.ndarray) -> Pseudospectrum:
+        """The spectrum at the columns of the `kept` blocks, between the
+        table's first and last column with their values `ends`."""
         cols = self._columns[kept].ravel()
         v = _spectrum(en, np.take(self.steering, cols, axis=1))
-        if not np.isfinite(v).all():
-            raise ValueError("spectrum values must be finite and positive")
-        # a value above rest lies in a picked block, so its neighbours in
-        # cols are its neighbours on the grid
-        lo, hi = self._window
-        j0, j1 = np.searchsorted(cols, (lo, hi)).tolist()
-        has_start, has_end = cols[j0] == lo, cols[j1 - 1] == hi - 1
-        a, b = max(j0 + has_start, 1), min(j1 - has_end, v.size - 1)
-        above = v[1:-1] > np.maximum(np.maximum(v[:-2], v[2:]), rest)
-        maxima = [np.flatnonzero(above[a - 1:b - 1]) + a]
-        if has_start and v[j0] > rest and v[j0] > v[j0 + 1]:
-            maxima.append([j0])
-        if has_end and v[j1 - 1] > rest and v[j1 - 1] > v[j1 - 2]:
-            maxima.append([j1 - 1])
-        chosen = _ranked(v, np.concatenate(maxima))[:count].tolist()
-        if len(chosen) < count:
-            return None
-        est = [(_refine(self.grid, int(cols[j]), v, j), False) for j in chosen]
-        return _estimate_set(est, self.fov, count)
+        # ends[i:1] and ends[1:j] are empty where a kept block holds that end
+        i, j = int(cols[0] == 0), 2 - int(cols[-1] == self.grid.size - 1)
+        cols = np.concatenate((self._ends[i:1], cols, self._ends[1:j]))
+        return Pseudospectrum(self.grid[cols], np.concatenate((ends[i:1], v, ends[1:j])))

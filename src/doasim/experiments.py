@@ -22,10 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import (_SCAN_BLOCK, DoaEstimateSet, Pseudospectrum, _coarray_noise,
-                         _noise_projection, _PeakSearch, azimuth_grid, coarray_music,
-                         fov_window, fov_window_size, music_pseudospectrum, pick_peaks,
-                         virtual_steering)
+from .estimators import (DoaEstimateSet, Pseudospectrum, _coarray_noise, _noise_projection,
+                         _PeakSearch, _scan_slice, azimuth_grid, coarray_music, fov_window,
+                         fov_window_size, music_pseudospectrum, pick_peaks, virtual_steering)
 from .geometry import ArrayGeometry, GeometryError, is_perfect, named_geometry
 from .manifold import (SourceScenario, apply_coupling_model, generate_snapshots,
                        make_manifold, phase_ramp, sample_covariance, steering_matrix)
@@ -442,11 +441,11 @@ class _TrialEngine:
     """Shared per-trial machinery with precomputed steering tables.
 
     The scan covers only the +-fov pick window plus one guard point per side,
-    widened to whole _SCAN_BLOCK blocks and sliced out of azimuth_grid(step),
-    so that every spectrum value in it, and with it every estimate, is
-    bit-identical to a scan of the whole grid. run_trial scans all of it;
-    estimate evaluates only the blocks _PeakSearch certifies, with the same
-    estimates.
+    widened to whole blocks and sliced out of azimuth_grid(step) by
+    _scan_slice, so that every spectrum value in it, and with it every
+    estimate, is bit-identical to a scan of the whole grid. run_trial scans
+    all of it; estimate picks from the spectrum of only the blocks
+    _PeakSearch certifies, with the same estimates.
 
     The data side of a trial, perturbed patterns times the phase ramp, then
     the coupling matrix, is built in one pass from the validated config; it
@@ -461,10 +460,7 @@ class _TrialEngine:
         self.nominal = make_manifold(self.geometry, self.pattern)
         self.perturbation = config.perturbation()
         grid = azimuth_grid(config.grid_step_deg)
-        window = fov_window(grid, config.fov_deg, guard=1)
-        start = window.start - window.start % _SCAN_BLOCK
-        stop = min(window.stop + (-window.stop) % _SCAN_BLOCK, grid.size)
-        self.grid = grid[start:stop]
+        self.grid = grid[_scan_slice(grid, config.fov_deg)]
         if config.estimator == "coarray-music":
             self.steering = virtual_steering(self.geometry.aperture, self.grid)
         else:
@@ -525,15 +521,15 @@ class _TrialEngine:
         return ps, pick_peaks(ps, l, self.cfg.fov_deg)
 
     def estimate(self, point: _Point, trial_index: int) -> DoaEstimateSet:
-        """The estimates of run_trial(point, trial_index), bit for bit, from
-        the pruned search."""
+        """The estimates of run_trial(point, trial_index), bit for bit, picked
+        from the pruned search's spectrum."""
         r = self._covariance(point, trial_index)
         l = point.scenario.source_count
         if self.cfg.estimator == "coarray-music":
             en = _coarray_noise(r, self.geometry, l)
         else:
             en = _noise_projection(r, l, self.geometry.element_count)
-        return self.search.estimates(en, l)
+        return pick_peaks(self.search.spectrum(en, l), l, self.cfg.fov_deg)
 
 
 def run_point(config: ExperimentConfig, point_index: int, *,

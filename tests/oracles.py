@@ -101,3 +101,22 @@ def loop_coarray_smoothed(r: np.ndarray, positions) -> np.ndarray:
     windows = np.stack([z[k : k + m + 1] for k in range(m + 1)], axis=1)
     rss = windows @ windows.conj().T / (m + 1)
     return (rss + rss.conj().T) / 2.0
+
+
+
+def evaluated_values_equal(pruned, full) -> bool:
+    """Whether a pruned spectrum is the full scan, or lies on its grid and
+    holds its values, bit for bit, at every column of each whole 16-column
+    block it holds. Only its two end columns may lie outside such a block:
+    those carry another product's rounding."""
+    block = 16
+    if pruned.grid.size == full.grid.size:
+        return (np.array_equal(pruned.grid, full.grid)
+                and np.array_equal(pruned.values, full.values))
+    idx = np.searchsorted(full.grid, pruned.grid)
+    if idx[-1] >= full.grid.size or not np.array_equal(full.grid[idx], pruned.grid):
+        return False
+    blocks = idx // block
+    whole = np.bincount(blocks)[blocks] == block
+    return bool(whole[1:-1].all()) and np.array_equal(pruned.values[whole],
+                                                      full.values[idx[whole]])

@@ -150,7 +150,8 @@ TABLE = "azimuth_deg,gain_dbi,phase_deg\n-90.0,0.0,0.0\n0.0,3.0,10.0\n90.0,0.0,0
 
 
 @pytest.mark.parametrize("table", [None, "azimuth_deg,gain_dbi,phase_deg\n0,1,2\n",
-                                   TABLE.replace("3.0", "x"), TABLE.replace("3.0", "4000")])
+                                   TABLE.replace("3.0", "x"), TABLE.replace("3.0", "4000"),
+                                   TABLE.replace("3.0", "-4000")])
 def test_sweep_bad_pattern_table_exits_2(tmp_path, capsys, table):
     # a missing or malformed table is read and rejected at parse time
     path = tmp_path / "table.csv"
