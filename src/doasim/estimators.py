@@ -56,12 +56,6 @@ def fov_window(grid: np.ndarray, fov_deg: float, guard: int = 0) -> slice:
     return slice(max(int(lo) - guard, 0), min(int(hi) + guard, len(grid)))
 
 
-def fov_window_size(step_deg: float, fov_deg: float) -> int:
-    """How many points of azimuth_grid(step_deg) lie in the +-fov pick window."""
-    window = fov_window(azimuth_grid(step_deg), fov_deg)
-    return window.stop - window.start
-
-
 def _check_hermitian(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -128,13 +122,6 @@ class DoaEstimateSet:
         return sum(self.filled)
 
 
-def _noise_projection(r: np.ndarray, source_count: int, dim: int) -> np.ndarray:
-    if not 1 <= source_count < dim:
-        raise RankError(f"source count must be in 1..{dim - 1}, got {source_count}")
-    _, vecs = hermitian_eig(r)
-    return vecs[:, : dim - source_count]
-
-
 def _sq_norms(x: np.ndarray) -> np.ndarray:
     """Squared norms of the columns of x."""
     if np.iscomplexobj(x):
@@ -149,25 +136,21 @@ def _spectrum(noise_vecs: np.ndarray, steering: np.ndarray) -> np.ndarray:
 
 
 def music_pseudospectrum(r: np.ndarray, manifold: ArrayManifold, source_count: int,
-                         grid: np.ndarray | None = None,
-                         steering: np.ndarray | None = None) -> Pseudospectrum:
+                         grid: np.ndarray | None = None) -> Pseudospectrum:
     """Element-space MUSIC: 1 / ||E_n^H a(phi)||^2 over the scan grid.
 
-    Requires source_count < element count. `steering` may carry a
-    precomputed steering_matrix(manifold, grid) to amortize grid
-    evaluation across many covariances on the same manifold.
+    Requires source_count < element count.
     """
     n = manifold.geometry.element_count
     if grid is None:
         grid = azimuth_grid()
     if np.asarray(r).shape != (n, n):
         raise ValueError(f"covariance shape {np.asarray(r).shape} != ({n}, {n})")
-    en = _noise_projection(r, source_count, n)
-    if steering is None:
-        steering = steering_matrix(manifold, grid)
-    elif steering.shape != (n, grid.size):
-        raise ValueError(f"steering shape {steering.shape} != ({n}, {grid.size})")
-    return Pseudospectrum(grid, _spectrum(en, steering))
+    if not 1 <= source_count < n:
+        raise RankError(f"source count must be in 1..{n - 1}, got {source_count}")
+    _, vecs = hermitian_eig(r)
+    return Pseudospectrum(grid, _spectrum(vecs[:, :n - source_count],
+                                          steering_matrix(manifold, grid)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -215,6 +198,11 @@ def coarray_covariance(r: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
     n = geometry.element_count
     if r.shape[0] != n:
         raise ValueError(f"covariance size {r.shape[0]} != element count {n}")
+    return _lag_smoothing(r, geometry)
+
+
+def _lag_smoothing(r: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
+    """coarray_covariance without its checks on r."""
     groups, hankel = _lag_table(geometry)
     m = geometry.aperture
     flat = r.ravel()
@@ -263,19 +251,16 @@ def virtual_steering(aperture: int, azimuth_deg) -> np.ndarray:
 
 
 def _coarray_noise(r: np.ndarray, geometry: ArrayGeometry, source_count: int) -> np.ndarray:
-    """Real noise subspace of the smoothed covariance in the unitary basis."""
-    m = geometry.aperture
-    if not 1 <= source_count <= m:
-        raise RankError(f"coarray supports 1..{m} sources for {geometry.name!r}, "
-                        f"got {source_count}")
-    rss = coarray_covariance(r, geometry)
-    q = _unitary_basis(m + 1)
-    return _noise_projection((q.conj().T @ rss @ q).real, source_count, m + 1)
+    """coarray_music's real noise subspace, without its checks on r and
+    source_count."""
+    q = _unitary_basis(geometry.aperture + 1)
+    x = (q.conj().T @ _lag_smoothing(r, geometry) @ q).real
+    # symmetric only to rounding, and eigh reads one triangle
+    return np.linalg.eigh((x + x.T) / 2.0)[1][:, :x.shape[0] - source_count]
 
 
 def coarray_music(r: np.ndarray, geometry: ArrayGeometry, source_count: int,
-                  grid: np.ndarray | None = None,
-                  steering: np.ndarray | None = None) -> Pseudospectrum:
+                  grid: np.ndarray | None = None) -> Pseudospectrum:
     """MUSIC on the smoothed virtual-array covariance.
 
     Resolves up to aperture-many sources, which can exceed the physical
@@ -286,14 +271,15 @@ def coarray_music(r: np.ndarray, geometry: ArrayGeometry, source_count: int,
     real table of virtual_steering (Huarng & Yeh, IEEE TSP 39(4), 1991).
     """
     m = geometry.aperture
-    en = _coarray_noise(r, geometry, source_count)
+    if not 1 <= source_count <= m:
+        raise RankError(f"coarray supports 1..{m} sources for {geometry.name!r}, "
+                        f"got {source_count}")
+    q = _unitary_basis(m + 1)
+    _, vecs = hermitian_eig((q.conj().T @ coarray_covariance(r, geometry) @ q).real)
     if grid is None:
         grid = azimuth_grid()
-    if steering is None:
-        steering = virtual_steering(m, grid)
-    elif steering.shape != (m + 1, grid.size):
-        raise ValueError(f"steering shape {steering.shape} != ({m + 1}, {grid.size})")
-    return Pseudospectrum(grid, _spectrum(en, steering))
+    return Pseudospectrum(grid, _spectrum(vecs[:, :m + 1 - source_count],
+                                          virtual_steering(m, grid)))
 
 
 def _refine(grid: np.ndarray, vals: np.ndarray, idx: int) -> float:

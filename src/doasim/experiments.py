@@ -22,14 +22,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import (DoaEstimateSet, Pseudospectrum, _coarray_noise, _noise_projection,
-                         _PeakSearch, _scan_slice, azimuth_grid, coarray_music, fov_window,
-                         fov_window_size, music_pseudospectrum, pick_peaks, virtual_steering)
+# music_pseudospectrum, coarray_music and perturb are not called here; they
+# stay in this namespace for callers that look them up through experiments,
+# such as perfbench/tracing.py
+from .estimators import (_DENOM_FLOOR, DoaEstimateSet, Pseudospectrum, _coarray_noise,
+                         _PeakSearch, _scan_slice, _spectrum, azimuth_grid, coarray_music,
+                         fov_window, music_pseudospectrum, pick_peaks, virtual_steering)
 from .geometry import ArrayGeometry, GeometryError, is_perfect, named_geometry
 from .manifold import (SourceScenario, apply_coupling_model, generate_snapshots,
                        make_manifold, phase_ramp, sample_covariance, steering_matrix)
-# perturb is not called here; it stays in this namespace for callers that
-# look it up through experiments, such as perfbench/tracing.py
 from .patterns import (ElementPattern, PatternError, PatternPerturbation, TableError,
                        evaluate, make_pattern, perturb, perturbed_gains)
 
@@ -231,11 +232,12 @@ class ExperimentConfig:
                                   "angles")
 
         need = max(3, self.source_count)
-        have = fov_window_size(self.grid_step_deg, self.fov_deg)
-        if have < need:
+        grid = azimuth_grid(self.grid_step_deg)
+        window = grid[fov_window(grid, self.fov_deg)]
+        if window.size < need:
             raise ConfigError(f"key 'grid_step_deg': the +-{self.fov_deg:g} deg pick "
                               f"window of a {self.grid_step_deg:g} deg grid holds "
-                              f"{have} points, need at least {need}", "grid_step_deg")
+                              f"{window.size} points, need at least {need}", "grid_step_deg")
 
         # estimator/geometry compatibility, checked before any trial runs
         geom = self.resolve_geometry()
@@ -277,6 +279,16 @@ class ExperimentConfig:
             if min(values, default=0) < MIN_LEVEL_DB:
                 raise ConfigError(f"key {key!r}: {min(values):g} dB is below the "
                                   f"{MIN_LEVEL_DB:g} dB limit", key)
+        # a squared gain below the spectrum floor zeroes the scan steering; with
+        # the levels bounded, only a cosine-power exponent can take it there
+        exponent = {"patch": "exponent", "vivaldi": "main_exponent"}.get(self.pattern)
+        if exponent is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                gain = np.abs(evaluate(pattern, window))
+            if not (gain * gain >= _DENOM_FLOOR).all():  # NaN fails it too
+                key = f"manifold.pattern.{exponent}"
+                raise ConfigError(f"key {key!r}: the gain falls below -3000 dBi "
+                                  f"inside +-{self.fov_deg:g} deg", key)
         # validated once here; a tabulated pattern keeps the rows read here,
         # which the fingerprint hashes
         object.__setattr__(self, "_pattern", pattern)
@@ -499,37 +511,37 @@ class _TrialEngine:
                                 point.scenario.angles)
         return self._coupled(gains * point.ramp)
 
-    def _covariance(self, point: _Point, trial_index: int) -> np.ndarray:
+    def _noise(self, point: _Point, trial_index: int) -> np.ndarray:
+        """The noise subspace of trial `trial_index` of `point`, from kernels
+        without the public functions' checks: the config validated the source
+        count, geometry and estimator, and sample_covariance is exactly
+        Hermitian, so element-music runs a bare eigh."""
         cfg = self.cfg
         root = np.random.SeedSequence([cfg.seed, point.index, trial_index])
         pert_seq, snap_seq = root.spawn(2)
         snaps = generate_snapshots(self.nominal, point.scenario, cfg.snapshots,
                                    np.random.default_rng(snap_seq),
                                    steering=self.data_steering(point, pert_seq))
-        return sample_covariance(snaps)
+        r = sample_covariance(snaps)
+        l = point.scenario.source_count
+        if cfg.estimator == "coarray-music":
+            return _coarray_noise(r, self.geometry, l)
+        return np.linalg.eigh(r)[1][:, :r.shape[0] - l]
 
     def run_trial(self, point: _Point,
                   trial_index: int) -> tuple[Pseudospectrum, DoaEstimateSet]:
         """Trial `trial_index` of `point`: its spectrum over the whole scan
         and the picks from it."""
-        r = self._covariance(point, trial_index)
-        l = point.scenario.source_count
-        if self.cfg.estimator == "coarray-music":
-            ps = coarray_music(r, self.geometry, l, self.grid, self.steering)
-        else:
-            ps = music_pseudospectrum(r, self.nominal, l, self.grid, self.steering)
-        return ps, pick_peaks(ps, l, self.cfg.fov_deg)
+        ps = Pseudospectrum(self.grid, _spectrum(self._noise(point, trial_index),
+                                                 self.steering))
+        return ps, pick_peaks(ps, point.scenario.source_count, self.cfg.fov_deg)
 
     def estimate(self, point: _Point, trial_index: int) -> DoaEstimateSet:
         """The estimates of run_trial(point, trial_index), bit for bit, picked
         from the pruned search's spectrum."""
-        r = self._covariance(point, trial_index)
         l = point.scenario.source_count
-        if self.cfg.estimator == "coarray-music":
-            en = _coarray_noise(r, self.geometry, l)
-        else:
-            en = _noise_projection(r, l, self.geometry.element_count)
-        return pick_peaks(self.search.spectrum(en, l), l, self.cfg.fov_deg)
+        return pick_peaks(self.search.spectrum(self._noise(point, trial_index), l), l,
+                          self.cfg.fov_deg)
 
 
 def run_point(config: ExperimentConfig, point_index: int, *,

@@ -110,11 +110,15 @@ def _with_key(conf: str, key: str, value: str) -> str:
     ("snr_db", "-7000"),
     ("sweep", "[-4000, 5]"),
     ("manifold.pattern.peak_gain_dbi", "-8000"),
+    # shapes whose squared gain underflows the spectrum floor inside +-fov
+    ("manifold.pattern.exponent", "1e300"),
+    ("manifold.pattern.main_exponent", "1e300"),
 ])
 def test_sweep_invalid_scalar_exits_2(tmp_path, capsys, key, value):
     # rejected at parse time, naming the key, before any trial runs
     conf = tmp_path / "bad.conf"
-    text = SWEEP_CONF.replace("manifold.pattern = isotropic", "manifold.pattern = patch")
+    pattern = "vivaldi" if key == "manifold.pattern.main_exponent" else "patch"
+    text = SWEEP_CONF.replace("manifold.pattern = isotropic", f"manifold.pattern = {pattern}")
     conf.write_text(_with_key(text, key, value))
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2

@@ -1,4 +1,6 @@
 import io
+import json
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -139,6 +141,56 @@ def test_serialize_parse_serialize_roundtrip(cfg):
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NOT_A_NUMBER = st.one_of(st.booleans(), st.none(), st.text("abcxyz", min_size=1),
+                          st.lists(_FINITE, max_size=2))
+_NOT_AN_INT = st.one_of(_NOT_A_NUMBER, _FINITE)  # 3.0 is a float, not an int
+_BELOW_0 = st.floats(max_value=-1e-300)  # -0.0 is not below 0
+# config key -> out-of-range values of the right type (bounded float
+# strategies also draw the infinity beyond their bound)
+_OUT_OF_RANGE = {
+    "manifold.coupling.c1": st.floats(min_value=1.0) | st.floats(max_value=-1.0),
+    "manifold.coupling.decay": st.floats(max_value=0.0) | st.floats(min_value=1.0),
+    "manifold.perturbation.phase_noise_std_deg": _BELOW_0,
+    "manifold.perturbation.param_tolerance": _BELOW_0 | st.floats(min_value=1.0),
+    "snr_db": (st.floats(max_value=MIN_LEVEL_DB, exclude_max=True)
+               | st.floats(min_value=MAX_LEVEL_DB, exclude_min=True)),
+    "snapshots": st.integers(max_value=0),
+    "trials": st.integers(max_value=0),
+    "estimator": st.text(min_size=1).filter(lambda e: e not in ESTIMATORS),
+    "fov_deg": st.floats(max_value=0.0) | st.floats(min_value=90.0, exclude_min=True),
+    "grid_step_deg": st.floats(max_value=0.0),
+    "seed": st.integers(max_value=-1),
+    "manifold.pattern.peak_gain_dbi": (st.floats(max_value=MIN_LEVEL_DB, exclude_max=True)
+                                       | st.floats(min_value=MAX_LEVEL_DB, exclude_min=True)),
+    "manifold.pattern.exponent": st.floats(max_value=0.0) | st.floats(min_value=1e300),
+}
+
+
+@st.composite
+def _invalid_scalars(draw):
+    """(key, value): one scalar key of a config with a value it must reject."""
+    key = draw(st.sampled_from(sorted(_OUT_OF_RANGE)))
+    if key in ("snapshots", "trials", "seed"):
+        wrong_type = _NOT_AN_INT
+    elif key == "estimator":
+        wrong_type = st.one_of(st.booleans(), st.none(), _FINITE)
+    else:
+        wrong_type = st.one_of(_NOT_A_NUMBER, st.sampled_from([np.nan, np.inf, -np.inf]))
+    return key, draw(_OUT_OF_RANGE[key] | wrong_type)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_configs(), invalid=_invalid_scalars())
+def test_every_invalid_scalar_exits_2(cfg, invalid):
+    # a valid config with one scalar made non-finite, out of range or of the
+    # wrong type fails at parse time with exit 2, before any output is written
+    key, value = invalid
+    mapping = {**cfg.to_mapping(), key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        conf, out = Path(tmp) / "bad.conf", Path(tmp) / "out"
+        conf.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in mapping.items()))
+        assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 @settings(max_examples=150, deadline=None)

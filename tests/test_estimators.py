@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from doasim import estimators
 from doasim.estimators import (DoaEstimateSet, Pseudospectrum, RankError,
                                azimuth_grid, coarray_covariance, coarray_music,
-                               fov_window, fov_window_size, hermitian_eig,
+                               fov_window, hermitian_eig,
                                music_pseudospectrum, pick_peaks, virtual_steering,
                                _unitary_basis)
 from doasim.geometry import (ArrayGeometry, GeometryError, make_mra, make_ula,
@@ -22,6 +23,20 @@ def _iso(geometry):
 
 
 # ------------------------------------------------------------------- eigen
+
+@settings(max_examples=200, deadline=None)
+@given(x=hnp.arrays(complex, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                    elements=st.complex_numbers(max_magnitude=1e100, allow_nan=False,
+                                                allow_infinity=False)))
+def test_sample_covariance_is_exactly_hermitian(x):
+    # the sweep engine runs a bare eigh on sample_covariance's output; that
+    # equals hermitian_eig, which symmetrizes first, only because the
+    # covariance is Hermitian bit for bit
+    r = sample_covariance(x)
+    assert np.array_equal(r, r.conj().T)
+    for ours, bare in zip(hermitian_eig(r), np.linalg.eigh(r)):
+        assert np.array_equal(ours, bare)
+
 
 def test_eigh_identity():
     vals, vecs = hermitian_eig(np.eye(4, dtype=complex))
@@ -248,8 +263,6 @@ def test_fov_window_bounds():
     assert (grid[w.start], grid[w.stop - 1]) == (-30.0, 30.0)
     # the guard is clipped at the grid ends, so fov 90 keeps the whole grid
     assert fov_window(grid, 90.0, guard=1) == slice(0, grid.size)
-    assert fov_window_size(0.5, 30.0) == 121
-    assert fov_window_size(25.0, 10.0) == 0
 
 
 def test_pseudospectrum_validation():
