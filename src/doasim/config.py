@@ -46,6 +46,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
                               f"(first set on line {lineno_of[key]})")
         mapping[key] = _parse_value(raw)
         lineno_of[key] = lineno
+        # a config file has no null: ExperimentConfig would read angles = null
+        # as not set and use the family's default
+        if mapping[key] is None:
+            raise ConfigError(f"line {lineno}: key {key!r}: null is not a value", key)
     try:
         return ExperimentConfig.from_mapping(mapping)
     except ConfigError as exc:

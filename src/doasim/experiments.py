@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,8 +32,8 @@ from .estimators import (_DENOM_FLOOR, DoaEstimateSet, Pseudospectrum, _coarray_
 from .geometry import ArrayGeometry, GeometryError, is_perfect, named_geometry
 from .manifold import (SourceScenario, apply_coupling_model, generate_snapshots,
                        make_manifold, phase_ramp, sample_covariance, steering_matrix)
-from .patterns import (ElementPattern, PatternError, PatternPerturbation, TableError,
-                       evaluate, make_pattern, perturb, perturbed_gains)
+from .patterns import (MIN_STEP_DEG, ElementPattern, PatternError, PatternPerturbation,
+                       TableError, evaluate, make_pattern, perturb, perturbed_gains)
 
 FAMILIES = ("symmetric-pair-angle-sweep", "snr-sweep", "fixed-scenario",
             "overloaded-demo")
@@ -80,6 +81,8 @@ def _as_int(key, v) -> int:
 def _as_float(key, v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"key {key!r}: expected number, got {v!r}", key)
+    if not abs(v) <= sys.float_info.max:  # NaN, infinities and ints too large for a float
+        raise ConfigError(f"key {key!r}: must be finite, got {v!r}", key)
     return float(v)
 
 
@@ -95,20 +98,29 @@ def _as_str(key, v) -> str:
     return v
 
 
-# config key -> (ExperimentConfig field, parser) for every scalar key, in
-# the order the config file format lists them
+# config key -> (ExperimentConfig field, parser, valid range or None, range
+# text) for every scalar key, in the order the config file format lists
+# them. The coupling and perturbation ranges are the bounds
+# apply_coupling_model and PatternPerturbation enforce; the SNR's +-300 dB
+# limit is checked with the other levels.
 _SCALARS = {
-    "manifold.coupling.c1": ("coupling_c1", _as_float),
-    "manifold.coupling.decay": ("coupling_decay", _as_float),
-    "manifold.perturbation.phase_noise_std_deg": ("phase_noise_std_deg", _as_float),
-    "manifold.perturbation.param_tolerance": ("param_tolerance", _as_float),
-    "snr_db": ("snr_db", _as_float),
-    "snapshots": ("snapshots", _as_int),
-    "trials": ("trials", _as_int),
-    "estimator": ("estimator", _as_str),
-    "fov_deg": ("fov_deg", _as_float),
-    "grid_step_deg": ("grid_step_deg", _as_float),
-    "seed": ("seed", _as_int),
+    "manifold.coupling.c1": ("coupling_c1", _as_float, lambda v: abs(v) < 1.0,
+                             "|c1| must be < 1"),
+    "manifold.coupling.decay": ("coupling_decay", _as_float, lambda v: 0.0 < v < 1.0,
+                                "must be in (0, 1)"),
+    "manifold.perturbation.phase_noise_std_deg": ("phase_noise_std_deg", _as_float,
+                                                  lambda v: v >= 0.0, "must be >= 0"),
+    "manifold.perturbation.param_tolerance": ("param_tolerance", _as_float,
+                                              lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"),
+    "snr_db": ("snr_db", _as_float, None, ""),
+    "snapshots": ("snapshots", _as_int, lambda v: v >= 1, "must be >= 1"),
+    "trials": ("trials", _as_int, lambda v: v >= 1, "must be >= 1"),
+    "estimator": ("estimator", _as_str, lambda v: v in ESTIMATORS,
+                  f"must be one of {', '.join(ESTIMATORS)}"),
+    "fov_deg": ("fov_deg", _as_float, lambda v: 0.0 < v <= 90.0, "must be in (0, 90]"),
+    "grid_step_deg": ("grid_step_deg", _as_float, lambda v: v >= MIN_STEP_DEG,
+                      f"must be >= {MIN_STEP_DEG:g}"),
+    "seed": ("seed", _as_int, lambda v: v >= 0, "must be >= 0"),
 }
 
 
@@ -120,6 +132,10 @@ class ExperimentConfig:
     symmetric-pair family, SNR (dB) for snr-sweep; empty for single-point
     families, which report their one point as parameter 0.0. `angles` is
     the fixed scenario for the non-swept families.
+
+    Every value is parsed, checked finite and range-checked here, whether
+    the config comes from a file (`from_mapping`) or is built directly; a
+    ConfigError names the offending key.
     """
 
     family: str
@@ -145,57 +161,21 @@ class ExperimentConfig:
             object.__setattr__(self, "geometry", tuple(self.geometry))
         # every number a float key holds is stored as a float: 5 and 5.0
         # compare equal but serialize, and so hash, differently
-        object.__setattr__(self, "sweep", tuple(float(s) for s in self.sweep))
-        if self.angles is not None:
-            object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-        for key, (attr, parse) in _SCALARS.items():
-            object.__setattr__(self, attr, parse(key, getattr(self, attr)))
+        for key, (attr, parse, valid, text) in _SCALARS.items():
+            value = parse(key, getattr(self, attr))
+            if valid is not None and not valid(value):
+                raise ConfigError(f"key {key!r}: {text}, got {value!r}", key)
+            object.__setattr__(self, attr, value)
+        object.__setattr__(self, "pattern", _as_str("manifold.pattern", self.pattern))
         object.__setattr__(self, "pattern_params", {
-            k: float(v) if isinstance(v, (int, float)) else v
+            k: (_as_str if k == "file" else _as_float)(f"manifold.pattern.{k}", v)
             for k, v in self.pattern_params.items()})
-        numbers = {key: (getattr(self, attr),) for key, (attr, parse) in _SCALARS.items()
-                   if parse is _as_float}
-        numbers.update({"sweep": self.sweep, "angles": self.angles or ()})
-        numbers.update({f"manifold.pattern.{k}": (v,) for k, v in self.pattern_params.items()
-                        if isinstance(v, float)})
-        for key, values in numbers.items():
-            if not all(math.isfinite(v) for v in values):
-                raise ConfigError(f"key {key!r}: must be finite, got "
-                                  f"{', '.join(map(repr, values))}", key)
-        # the bounds apply_coupling_model enforces, checked before any trial runs
-        if abs(self.coupling_c1) >= 1.0:
-            raise ConfigError(f"key 'manifold.coupling.c1': |c1| must be < 1, got "
-                              f"{self.coupling_c1}", "manifold.coupling.c1")
-        if not 0.0 < self.coupling_decay < 1.0:
-            raise ConfigError(f"key 'manifold.coupling.decay': must be in (0, 1), got "
-                              f"{self.coupling_decay}", "manifold.coupling.decay")
-        # the bounds PatternPerturbation enforces
-        if self.phase_noise_std_deg < 0.0:
-            raise ConfigError(f"key 'manifold.perturbation.phase_noise_std_deg': must be "
-                              f">= 0, got {self.phase_noise_std_deg}",
-                              "manifold.perturbation.phase_noise_std_deg")
-        if not 0.0 <= self.param_tolerance < 1.0:
-            raise ConfigError(f"key 'manifold.perturbation.param_tolerance': must be in "
-                              f"[0, 1), got {self.param_tolerance}",
-                              "manifold.perturbation.param_tolerance")
+        object.__setattr__(self, "sweep", _as_float_tuple("sweep", self.sweep))
+        if self.angles is not None:
+            object.__setattr__(self, "angles", _as_float_tuple("angles", self.angles))
         if self.family not in FAMILIES:
             raise ConfigError(f"key 'family': unknown family {self.family!r}, "
                               f"expected one of {', '.join(FAMILIES)}", "family")
-        if self.estimator not in ESTIMATORS:
-            raise ConfigError(f"key 'estimator': unknown estimator {self.estimator!r}",
-                              "estimator")
-        if self.trials < 1:
-            raise ConfigError(f"key 'trials': must be >= 1, got {self.trials}", "trials")
-        if self.snapshots < 1:
-            raise ConfigError(f"key 'snapshots': must be >= 1, got {self.snapshots}",
-                              "snapshots")
-        if self.seed < 0:
-            raise ConfigError(f"key 'seed': must be >= 0, got {self.seed}", "seed")
-        if not 0 < self.fov_deg <= 90:
-            raise ConfigError(f"key 'fov_deg': must be in (0, 90], got {self.fov_deg}",
-                              "fov_deg")
-        if self.grid_step_deg <= 0:
-            raise ConfigError(f"key 'grid_step_deg': must be > 0", "grid_step_deg")
 
         swept = self.family in ("symmetric-pair-angle-sweep", "snr-sweep")
         if swept and not self.sweep:
@@ -254,17 +234,14 @@ class ExperimentConfig:
                 raise ConfigError(f"coarray-music on {geom.name!r} handles at most "
                                   f"{geom.aperture} sources, scenario has {l}",
                                   "estimator")
-        if self.pattern == "tabulated":
-            if "file" not in self.pattern_params:
-                raise ConfigError("key 'manifold.pattern.file': required for tabulated "
-                                  "pattern", "manifold.pattern.file")
-            try:
-                pattern = make_pattern(self.pattern, **self.pattern_params)
-            except (TableError, OSError) as exc:
-                raise ConfigError(f"key 'manifold.pattern.file': {exc}",
-                                  "manifold.pattern.file") from None
-        else:
+        try:
             pattern = make_pattern(self.pattern, **self.pattern_params)
+        except PatternError as exc:
+            key = "manifold.pattern" + (f".{exc.param}" if exc.param else "")
+            raise ConfigError(f"key {key!r}: {exc}", key) from None
+        except (TableError, OSError) as exc:
+            raise ConfigError(f"key 'manifold.pattern.file': {exc}",
+                              "manifold.pattern.file") from None
         # 10**(dB/10) of a larger level overflows the sample covariance; a
         # gain of a smaller level underflows the steering to zero, and a
         # smaller SNR leaves no signal in the data
@@ -334,7 +311,7 @@ class ExperimentConfig:
         }
         for k in sorted(self.pattern_params):
             m[f"manifold.pattern.{k}"] = self.pattern_params[k]
-        m.update({key: getattr(self, attr) for key, (attr, _) in _SCALARS.items()})
+        m.update({key: getattr(self, attr) for key, (attr, *_) in _SCALARS.items()})
         if self.sweep:
             m["sweep"] = list(self.sweep)
         if self.angles and self.family != "symmetric-pair-angle-sweep":
@@ -343,44 +320,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        """Build and validate a config from a flat dotted-key mapping."""
+        """Build a config from a flat dotted-key mapping. Only the keys are
+        checked here; the constructor validates every value."""
         m = dict(mapping)
-        kwargs: dict = {}
         for req in ("family", "geometry", "manifold.pattern"):
             if req not in m:
                 raise ConfigError(f"missing required key {req!r}", req)
-        kwargs["family"] = _as_str("family", m.pop("family"))
-        geom = m.pop("geometry")
-        if isinstance(geom, str):
-            kwargs["geometry"] = geom
-        elif isinstance(geom, list) and all(isinstance(p, int) and not isinstance(p, bool)
-                                            for p in geom):
-            kwargs["geometry"] = tuple(geom)
-        else:
+        geom = m["geometry"]
+        if not (isinstance(geom, str) or isinstance(geom, list) and all(
+                isinstance(p, int) and not isinstance(p, bool) for p in geom)):
             raise ConfigError(f"key 'geometry': expected name or integer list, "
                               f"got {geom!r}", "geometry")
-        kwargs["pattern"] = _as_str("manifold.pattern", m.pop("manifold.pattern"))
-
-        params: dict = {}
-        for k in sorted(m):
-            if k.startswith("manifold.pattern."):
-                name = k[len("manifold.pattern."):]
-                v = m.pop(k)
-                params[name] = _as_str(k, v) if name == "file" else _as_float(k, v)
-        kwargs["pattern_params"] = params
-
-        simple = {**_SCALARS, "sweep": ("sweep", _as_float_tuple),
-                  "angles": ("angles", _as_float_tuple)}
-        for key in list(m):
-            if key not in simple:
+        kwargs: dict = {"family": m.pop("family"), "geometry": m.pop("geometry"),
+                        "pattern": m.pop("manifold.pattern"), "pattern_params": {}}
+        fields = {key: attr for key, (attr, *_) in _SCALARS.items()}
+        fields.update(sweep="sweep", angles="angles")
+        for key, value in m.items():
+            if key.startswith("manifold.pattern."):
+                kwargs["pattern_params"][key[len("manifold.pattern."):]] = value
+            elif key in fields:
+                kwargs[fields[key]] = value
+            else:
                 raise ConfigError(f"unknown key {key!r}", key)
-            attr, coerce = simple[key]
-            kwargs[attr] = coerce(key, m.pop(key))
-        try:
-            return cls(**kwargs)
-        except PatternError as exc:
-            raise ConfigError(f"key 'manifold.pattern': {exc}",
-                              "manifold.pattern") from None
+        return cls(**kwargs)
 
     def fingerprint(self) -> str:
         """Stable short hash of the fully resolved configuration, including

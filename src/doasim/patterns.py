@@ -10,6 +10,7 @@ Measured or vendor data enters through the tabulated kind.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,9 +24,17 @@ _NOISE_GRID = np.arange(-90.0, 91.0)
 
 TABLE_HEADER = "azimuth_deg,gain_dbi,phase_deg"
 
+# finest azimuth step a config's scan grid or an exported table may use, deg:
+# at 1e-4 a +-90 deg grid holds 1.8 M points
+MIN_STEP_DEG = 1e-4
+
 
 class PatternError(ValueError):
-    """Invalid pattern parameters."""
+    """Invalid pattern parameters; `param` names the offending parameter."""
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
 
 
 class TableError(ValueError):
@@ -99,7 +108,7 @@ def make_patch(peak_gain_dbi: float = 8.0, exponent: float = 1.5) -> ElementPatt
     Gain in dBi is peak + 20*exponent*log10(max(cos phi, floor)).
     """
     if exponent <= 0:
-        raise PatternError(f"patch exponent must be > 0, got {exponent}")
+        raise PatternError(f"patch exponent must be > 0, got {exponent}", "exponent")
     return ElementPattern("patch", {"peak_gain_dbi": float(peak_gain_dbi),
                                     "exponent": float(exponent)})
 
@@ -114,11 +123,13 @@ def make_vivaldi(peak_gain_dbi: float = 13.0, null_angle_deg: float = 50.0,
     configured amplitude and period.
     """
     if not 0 < null_angle_deg <= 90:
-        raise PatternError(f"null_angle_deg must be in (0, 90], got {null_angle_deg}")
+        raise PatternError(f"null_angle_deg must be in (0, 90], got {null_angle_deg}",
+                           "null_angle_deg")
     if ripple_period_deg <= 0:
-        raise PatternError(f"ripple_period_deg must be > 0, got {ripple_period_deg}")
+        raise PatternError(f"ripple_period_deg must be > 0, got {ripple_period_deg}",
+                           "ripple_period_deg")
     if main_exponent <= 0:
-        raise PatternError(f"main_exponent must be > 0, got {main_exponent}")
+        raise PatternError(f"main_exponent must be > 0, got {main_exponent}", "main_exponent")
     return ElementPattern("vivaldi", {
         "peak_gain_dbi": float(peak_gain_dbi),
         "null_angle_deg": float(null_angle_deg),
@@ -129,22 +140,19 @@ def make_vivaldi(peak_gain_dbi: float = 13.0, null_angle_deg: float = 50.0,
 
 
 def make_pattern(kind: str, **params) -> ElementPattern:
-    """Build a pattern by kind name; 'tabulated' takes file=<path>."""
-    if kind == "tabulated":
-        path = params.pop("file", None)
-        if path is None or params:
-            extra = ", ".join(sorted(params))
-            raise PatternError(f"tabulated pattern takes only file=<path>"
-                               + (f" (got {extra})" if extra else ""))
-        return load_tabulated(path)
+    """Build a pattern by kind name; 'tabulated' takes file=<path>. A bad or
+    missing parameter is named in the PatternError's `param`."""
     makers = {"isotropic": make_isotropic, "dipole_ref": make_dipole_ref,
-              "patch": make_patch, "vivaldi": make_vivaldi}
+              "patch": make_patch, "vivaldi": make_vivaldi,
+              "tabulated": lambda file: load_tabulated(file)}
     if kind not in makers:
         raise PatternError(f"unknown pattern kind {kind!r}")
-    try:
-        return makers[kind](**params)
-    except TypeError:
-        raise PatternError(f"bad parameters for {kind}: {sorted(params)}") from None
+    unknown = sorted(set(params) - set(inspect.signature(makers[kind]).parameters))
+    if unknown:
+        raise PatternError(f"{kind} pattern has no parameter {unknown[0]!r}", unknown[0])
+    if kind == "tabulated" and "file" not in params:
+        raise PatternError("tabulated pattern requires file=<path>", "file")
+    return makers[kind](**params)
 
 
 def _magnitude_dbi(kind: str, p: dict, az: np.ndarray) -> np.ndarray:
@@ -330,8 +338,9 @@ def export_tabulated(pattern: ElementPattern, destination, step_deg: float = 1.0
     if pattern.kind == "tabulated" and pattern.phase_noise_deg is None:
         rows = pattern.samples
     else:
-        if step_deg <= 0:
-            raise PatternError(f"step_deg must be > 0, got {step_deg}")
+        # [MIN_STEP_DEG, 360) gives at least 2 rows; NaN fails the test too
+        if not MIN_STEP_DEG <= step_deg < 360.0:
+            raise PatternError(f"step_deg must be in [{MIN_STEP_DEG:g}, 360), got {step_deg}")
         az = np.linspace(-90.0, 90.0, round(180.0 / step_deg) + 1)
         g = evaluate(pattern, az)
         rows = [(float(a), float(20.0 * np.log10(np.abs(v))),

@@ -96,6 +96,8 @@ def _with_key(conf: str, key: str, value: str) -> str:
     ("snr_db", "NaN"),
     ("fov_deg", "NaN"),
     ("grid_step_deg", "Infinity"),
+    # a step whose grid would not fit in memory
+    ("grid_step_deg", "1e-9"),
     ("sweep", "[-5, NaN]"),
     ("angles", "[-10, -Infinity]"),
     ("manifold.pattern.peak_gain_dbi", "NaN"),
@@ -244,6 +246,16 @@ def test_pattern_export_roundtrip(tmp_path):
 def test_pattern_export_io_failure_exits_3(tmp_path):
     dest = tmp_path / "missing_dir" / "x.csv"
     assert main(["pattern", "--kind", "patch", "--export", str(dest)]) == 3
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "1e-9"])
+def test_pattern_export_bad_step_exits_2(tmp_path, capsys, step):
+    # a step that is not finite, leaves fewer than 2 rows or is below the
+    # floor writes no table
+    dest = tmp_path / "x.csv"
+    assert main(["pattern", "--kind", "patch", "--export", str(dest), "--step", step]) == 2
+    assert "step_deg" in capsys.readouterr().err
+    assert not dest.exists()
 
 
 def test_cli_usage_error_exits_2():

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,8 +13,9 @@ from hypothesis import assume, given, settings, strategies as st
 from doasim.config import (parse_config, parse_config_text, read_results,
                            serialize_config, write_results)
 from doasim.cli import main
-from doasim.experiments import (ESTIMATORS, MAX_LEVEL_DB, MIN_LEVEL_DB, ConfigError,
+from doasim.experiments import (_SCALARS, ESTIMATORS, MAX_LEVEL_DB, MIN_LEVEL_DB, ConfigError,
                                 ExperimentConfig, SweepResult, run_point)
+from doasim.patterns import MIN_STEP_DEG
 
 SAMPLE = """\
 # two-source accuracy sweep
@@ -65,6 +68,19 @@ def test_parse_reports_line_numbers():
                           "trials = many\nmanifold.pattern = isotropic\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("family = fixed-scenario\nfamily = snr-sweep\n")
+
+
+@pytest.mark.parametrize("pattern, line4", [
+    ("vivaldi", "manifold.pattern.null_angle_deg = 100"),
+    ("patch", "manifold.pattern.bogus = 3"),
+])
+def test_bad_pattern_parameter_names_its_own_line(pattern, line4):
+    # the error points at the parameter's line, not at the kind's on line 3
+    key = line4.partition(" =")[0]
+    text = f"family = fixed-scenario\ngeometry = mra8\nmanifold.pattern = {pattern}\n{line4}\n"
+    with pytest.raises(ConfigError, match="line 4") as exc:
+        parse_config_text(text)
+    assert exc.value.key == key
 
 
 def test_parse_unknown_key_named():
@@ -158,7 +174,7 @@ _OUT_OF_RANGE = {
     "trials": st.integers(max_value=0),
     "estimator": st.text(min_size=1).filter(lambda e: e not in ESTIMATORS),
     "fov_deg": st.floats(max_value=0.0) | st.floats(min_value=90.0, exclude_min=True),
-    "grid_step_deg": st.floats(max_value=0.0),
+    "grid_step_deg": st.floats(max_value=MIN_STEP_DEG, exclude_max=True),
     "seed": st.integers(max_value=-1),
     "manifold.pattern.peak_gain_dbi": (st.floats(max_value=MIN_LEVEL_DB, exclude_max=True)
                                        | st.floats(min_value=MAX_LEVEL_DB, exclude_min=True)),
@@ -191,6 +207,67 @@ def test_every_invalid_scalar_exits_2(cfg, invalid):
         conf.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in mapping.items()))
         assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+_BAD_ELEMENT = st.one_of(st.booleans(), st.none(), st.text("abcxyz", min_size=1),
+                        st.sampled_from([np.nan, np.inf, -np.inf]), st.lists(_FINITE, max_size=1))
+
+
+@st.composite
+def _invalid_lists(draw):
+    """(key, value): `sweep` or `angles` not a list, or a list holding a
+    non-number. A None `angles` is left out: the constructor reads it as
+    "not set" (the family's default), and a config file has no null."""
+    key = draw(st.sampled_from(["sweep", "angles"]))
+    head, tail = draw(st.lists(_FINITE, max_size=2)), draw(st.lists(_FINITE, max_size=2))
+    not_a_list = st.one_of(st.booleans(), st.text("abcxyz", min_size=1), _FINITE,
+                           st.none() if key == "sweep" else st.nothing())
+    return key, draw(not_a_list | _BAD_ELEMENT.map(lambda x: head + [x] + tail))
+
+
+_PATTERN_PARAMS = ["peak_gain_dbi", "exponent", "main_exponent", "null_angle_deg",
+                   "ripple_period_deg", "phase_ripple_deg", "file", "bogus"]
+_ANY_VALUE = st.one_of(_FINITE, _BAD_ELEMENT, st.lists(_FINITE, max_size=2))
+# (key, value): any value for a pattern parameter, in range or not
+_pattern_params = st.tuples(st.sampled_from(_PATTERN_PARAMS).map("manifold.pattern.{}".format),
+                            _ANY_VALUE)
+
+
+def _rejected_key(build):
+    try:
+        build()
+    except ConfigError as exc:
+        return exc.key
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=_configs(), invalid=st.one_of(_invalid_scalars(), _invalid_lists(),
+                                         _pattern_params))
+def test_file_and_constructor_reject_alike(cfg, invalid):
+    # one validator: a value the config file rejects, ExperimentConfig
+    # rejects too, with a ConfigError naming the same key
+    key, value = invalid
+    mapping = {**cfg.to_mapping(), key: value}
+    text = "".join(f"{k} = {json.dumps(v)}\n" for k, v in mapping.items())
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    if key.startswith("manifold.pattern."):
+        fields["pattern_params"] = {**cfg.pattern_params,
+                                    key[len("manifold.pattern."):]: value}
+    else:
+        fields[_SCALARS[key][0] if key in _SCALARS else key] = value
+    from_file = _rejected_key(lambda: parse_config_text(text))
+    assume(from_file is not None)
+    assert _rejected_key(lambda: ExperimentConfig(**fields)) == from_file
+
+
+def test_readme_config_table_lists_every_key():
+    # the README's config table and the keys a config may set cannot drift
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = re.findall(r"^\| `([^`]+)` \|", readme, flags=re.MULTILINE)
+    structural = ["family", "geometry", "manifold.pattern", "manifold.pattern.<param>",
+                  "sweep", "angles"]
+    assert sorted(table) == sorted(structural + list(_SCALARS))
 
 
 @settings(max_examples=150, deadline=None)
