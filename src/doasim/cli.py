@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration/input errors, 3 runtime failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -102,6 +103,8 @@ def _cmd_pattern(args) -> int:
     return EXIT_OK
 
 
+# built on the first main() call, not at import, and reused by later calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doasim",

@@ -17,7 +17,7 @@ def _parse_value(raw: str):
     raw = raw.strip()
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past Python's digit limit
         return raw
 
 

@@ -203,6 +203,9 @@ class ExperimentConfig:
             default = _OVERLOADED_ANGLES if self.family == "overloaded-demo" \
                 else (-10.0, 10.0)
             object.__setattr__(self, "angles", default)
+        elif not self.angles:
+            raise ConfigError(f"key 'angles': family {self.family!r} needs at least "
+                              "one source angle", "angles")
 
         if self.angles:
             if len(set(self.angles)) != len(self.angles):
@@ -400,6 +403,122 @@ class SweepResult:
                    fingerprint=fingerprint, seed=seed)
 
 
+# numpy's SeedSequence (NEP 19) hashes 32-bit entropy words into a pool of 4
+# words and hashes the pool out again for generate_state; PCG64 seeds its
+# 128-bit LCG from generate_state(4, uint64). These are their constants.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+# trials per _stream_states call, so that seeding memory does not grow with
+# the trial count
+_SEED_CHUNK = 256
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0..n: the successive hash constants."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hashmix(words: np.ndarray, k: int, n: int) -> np.ndarray:
+    """SeedSequence's hashmix of the n words on the last axis, as its hash
+    calls k..k+n-1."""
+    h = _hash_consts(_INIT_A, _MULT_A, k + n)
+    v = (words ^ h[k:k + n]) * h[k + 1:]
+    return v ^ v >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * _MIX_L - y * _MIX_R
+    return v ^ v >> 16
+
+
+def _absorb(pool: np.ndarray, word: np.ndarray, k: int) -> np.ndarray:
+    """Mix one entropy word beyond the pool size into every pool word, as
+    hash calls k..k+3."""
+    return _mix(pool, _hashmix(word[..., None], k, _POOL))
+
+
+def _pcg64_states(pool: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) when seeded from each pool row: generate_state(4,
+    uint64) gives initstate and initseq, then inc = 2 initseq + 1 and
+    state = (inc + initstate) M + inc, mod 2**128."""
+    h = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+    v = (np.tile(pool, 2) ^ h[:-1]) * h[1:]
+    words = np.ascontiguousarray(v ^ v >> 16, dtype="<u4").view("<u8").reshape(-1, 4)
+    states = []
+    for a, b, c, d in words.tolist():
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        states.append((((a << 64 | b) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _stream_states(seed: int, point_index: int, trials,
+                   elements: int) -> tuple[list, list | None]:
+    """PCG64 (state, inc) pairs of every trial t in `trials` at once, bit for
+    bit those of default_rng on the children of
+    SeedSequence([seed, point_index, t]).spawn(2).
+
+    Returns the snapshot stream's pair per trial (spawn key (1,)) and, if
+    `elements` > 0, the pairs of the perturbation stream's first `elements`
+    children (spawn key (0, j)), trial-major; else None. Indices must be
+    below 2**32, one entropy word each.
+    """
+    t = np.asarray(trials)
+    if t.size and not (t.min() >= 0 and t.max() <= _MASK32):
+        raise ValueError(f"trial indices must be in [0, 2**32), got {trials!r}")
+    # SeedSequence reads an integer as little-endian 32-bit words, 0 as one
+    # word, and pads run entropy shorter than the pool with zeros when it has
+    # a spawn key
+    head = [seed & _MASK32]
+    while seed := seed >> 32:
+        head.append(seed & _MASK32)
+    head.append(point_index)
+    run = np.zeros((t.size, max(_POOL, len(head) + 1)), dtype=np.uint32)
+    run[:, :len(head)] = head
+    run[:, len(head)] = t
+    pool = _hashmix(run[:, :_POOL], 0, _POOL)
+    k = _POOL
+    for src in range(_POOL):
+        # the updates from one source word read no other destination word
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1], k, _POOL - 1))
+        k += _POOL - 1
+    for word in run.T[_POOL:]:
+        pool = _absorb(pool, word, k)
+        k += _POOL
+    # the spawn key's words come last: (1,) for snapshots, (0, j) for element j
+    snap = _pcg64_states(_absorb(pool, np.ones(1, dtype=np.uint32), k))
+    if not elements:
+        return snap, None
+    pert = _absorb(pool, np.zeros(1, dtype=np.uint32), k)
+    j = np.arange(elements, dtype=np.uint32)
+    return snap, _pcg64_states(_absorb(pert[:, None], j, k + _POOL))
+
+
+class _Reloaded:
+    """N generators for perturbed_gains that are one generator: taking item j
+    loads element stream j's (state, inc) into it. perturbed_gains makes each
+    element's draws before it takes the next item, so element j draws from
+    stream j."""
+
+    def __init__(self, load, pairs: list):
+        self._load = load
+        self._pairs = pairs
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __getitem__(self, j: int) -> np.random.Generator:
+        return self._load(self._pairs[j])
+
+
 class _Point(NamedTuple):
     """One sweep point: its scenario and the data-side constants its trials
     share. `ramp` is the phase ramp at the source angles (N x L); `steering`
@@ -462,28 +581,53 @@ class _TrialEngine:
             steering = self._coupled(evaluate(self.pattern, scenario.angles) * ramp)
         return _Point(index, scenario, ramp, steering)
 
-    def data_steering(self, point: _Point, pert_seq: np.random.SeedSequence) -> np.ndarray:
+    def streams(self, point: _Point, trials) -> list[tuple]:
+        """Per trial in `trials`, the PCG64 (state, inc) pairs of its streams:
+        the snapshot stream's, and the N element streams' when the config is
+        perturbed (None otherwise), from one _stream_states call."""
+        n = 0 if point.steering is not None else self.geometry.element_count
+        snap, elements = _stream_states(self.cfg.seed, point.index, trials, n)
+        if elements is None:
+            return [(s, None) for s in snap]
+        return [(s, elements[i * n:(i + 1) * n]) for i, s in enumerate(snap)]
+
+    @functools.cached_property
+    def _rng(self) -> np.random.Generator:
+        """The one generator every stream is loaded into, built on first use
+        by a trial rather than with the engine."""
+        return np.random.Generator(np.random.PCG64(0))
+
+    def _load(self, pair: tuple[int, int]) -> np.random.Generator:
+        """The shared generator in the stream whose PCG64 (state, inc) is
+        `pair`, as default_rng of that stream's SeedSequence starts."""
+        state, inc = pair
+        self._rng.bit_generator.state = {"bit_generator": "PCG64",
+                                         "state": {"state": state, "inc": inc},
+                                         "has_uint32": 0, "uinteger": 0}
+        return self._rng
+
+    def data_steering(self, point: _Point, elements: list | None) -> np.ndarray:
         """The trial's data steering (N x L). A perturbed config draws one
-        pattern deviation per element from the children of `pert_seq`."""
+        pattern deviation per element, from the element streams `elements`
+        that streams gives."""
         if point.steering is not None:
             return point.steering
-        rngs = [np.random.default_rng(c)
-                for c in pert_seq.spawn(self.geometry.element_count)]
-        gains = perturbed_gains(self.pattern, self.perturbation, rngs,
-                                point.scenario.angles)
+        gains = perturbed_gains(self.pattern, self.perturbation,
+                                _Reloaded(self._load, elements), point.scenario.angles)
         return self._coupled(gains * point.ramp)
 
-    def _noise(self, point: _Point, trial_index: int) -> np.ndarray:
-        """The noise subspace of trial `trial_index` of `point`, from kernels
-        without the public functions' checks: the config validated the source
-        count, geometry and estimator, and sample_covariance is exactly
-        Hermitian, so element-music runs a bare eigh."""
+    def _noise(self, point: _Point, streams: tuple) -> np.ndarray:
+        """The noise subspace of the trial of `point` whose streams are
+        `streams`, from kernels without the public functions' checks: the
+        config validated the source count, geometry and estimator, and
+        sample_covariance is exactly Hermitian, so element-music runs a bare
+        eigh."""
         cfg = self.cfg
-        root = np.random.SeedSequence([cfg.seed, point.index, trial_index])
-        pert_seq, snap_seq = root.spawn(2)
+        snap, elements = streams
+        # the element streams draw first: every stream loads the one generator
+        steering = self.data_steering(point, elements)
         snaps = generate_snapshots(self.nominal, point.scenario, cfg.snapshots,
-                                   np.random.default_rng(snap_seq),
-                                   steering=self.data_steering(point, pert_seq))
+                                   self._load(snap), steering=steering)
         r = sample_covariance(snaps)
         l = point.scenario.source_count
         if cfg.estimator == "coarray-music":
@@ -494,15 +638,16 @@ class _TrialEngine:
                   trial_index: int) -> tuple[Pseudospectrum, DoaEstimateSet]:
         """Trial `trial_index` of `point`: its spectrum over the whole scan
         and the picks from it."""
-        ps = Pseudospectrum(self.grid, _spectrum(self._noise(point, trial_index),
-                                                 self.steering))
+        noise = self._noise(point, self.streams(point, [trial_index])[0])
+        ps = Pseudospectrum(self.grid, _spectrum(noise, self.steering))
         return ps, pick_peaks(ps, point.scenario.source_count, self.cfg.fov_deg)
 
-    def estimate(self, point: _Point, trial_index: int) -> DoaEstimateSet:
-        """The estimates of run_trial(point, trial_index), bit for bit, picked
-        from the pruned search's spectrum."""
+    def estimate(self, point: _Point, streams: tuple) -> DoaEstimateSet:
+        """The estimates of run_trial(point, t), bit for bit, for the trial t
+        whose streams are `streams`, picked from the pruned search's
+        spectrum."""
         l = point.scenario.source_count
-        return pick_peaks(self.search.spectrum(self._noise(point, trial_index), l), l,
+        return pick_peaks(self.search.spectrum(self._noise(point, streams), l), l,
                           self.cfg.fov_deg)
 
 
@@ -513,6 +658,7 @@ def run_point(config: ExperimentConfig, point_index: int, *,
     Returns (per-trial RMSE array, per-trial fill counts), in trial order.
     Every trial owns a stream keyed by (seed, point index, trial index), so
     entry t equals what engine.run_trial(point, t) gives on its own; the
+    streams of up to _SEED_CHUNK trials are seeded in one call, and the
     trials run through the engine's pruned search. `engine`
     lets a sweep share one engine, built for the same config, across its
     points.
@@ -528,10 +674,12 @@ def run_point(config: ExperimentConfig, point_index: int, *,
     truth = point.scenario.angles
     errs = np.empty(config.trials)
     fills = np.empty(config.trials, dtype=int)
-    for t in range(config.trials):
-        est = engine.estimate(point, t)
-        errs[t] = rmse(est.angles, truth)
-        fills[t] = est.fill_count
+    for start in range(0, config.trials, _SEED_CHUNK):
+        chunk = range(start, min(start + _SEED_CHUNK, config.trials))
+        for t, streams in zip(chunk, engine.streams(point, chunk)):
+            est = engine.estimate(point, streams)
+            errs[t] = rmse(est.angles, truth)
+            fills[t] = est.fill_count
     return errs, fills
 
 

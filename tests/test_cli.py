@@ -115,6 +115,8 @@ def _with_key(conf: str, key: str, value: str) -> str:
     # shapes whose squared gain underflows the spectrum floor inside +-fov
     ("manifold.pattern.exponent", "1e300"),
     ("manifold.pattern.main_exponent", "1e300"),
+    # an integer literal past Python's 4,300-digit conversion limit
+    pytest.param("snr_db", "1" + "0" * 5000, id="snr_db-5001 digits"),
 ])
 def test_sweep_invalid_scalar_exits_2(tmp_path, capsys, key, value):
     # rejected at parse time, naming the key, before any trial runs
@@ -125,6 +127,21 @@ def test_sweep_invalid_scalar_exits_2(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["snr-sweep", "fixed-scenario"])
+def test_sweep_empty_angles_exits_2(tmp_path, capsys, family):
+    # a scenario without sources is rejected at parse time, naming the key
+    # and its line, before the output directory is made
+    lines = [ln for ln in SWEEP_CONF.splitlines()
+             if not (family == "fixed-scenario" and ln.startswith("sweep"))]
+    text = _with_key("\n".join(lines).replace("snr-sweep", family), "angles", "[]")
+    conf = tmp_path / "empty.conf"
+    conf.write_text(text)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
+    assert f"line {text.count(chr(10))}: key 'angles'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -323,9 +323,56 @@ def test_engine_data_steering_matches_public_replay(table_file, kind, c1, phase_
                            grid_step_deg=1.0, trials=1, seed=seed)
     engine = experiments._TrialEngine(cfg)
     point = engine.point(0)
-    got = engine.data_steering(point, _trial_streams(cfg, 0, trial)[0])
+    got = engine.data_steering(point, engine.streams(point, [trial])[0][1])
     replay = _replay_data_manifold(cfg, _trial_streams(cfg, 0, trial)[0])
     assert np.array_equal(got, steering_matrix(replay, point.scenario.angles))
+
+
+@pytest.fixture(scope="module")
+def loader():
+    """An engine's stream loader: it sets the engine's one generator."""
+    return experiments._TrialEngine(_tiny_config())._load
+
+
+_SEED = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
+                  st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                  st.integers(2**64, 2**200))
+_INDEX = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=_SEED, point=_INDEX, trials=st.lists(_INDEX, min_size=1, max_size=4),
+       elements=st.integers(1, 16))
+def test_stream_states_match_seed_sequence(loader, seed, point, trials, elements):
+    # the bulk kernel reproduces SeedSequence([seed, p, t]).spawn(2), the first
+    # child's spawn(elements) and PCG64's seeding; a numpy release that seeds
+    # differently fails here instead of silently moving every output
+    snap, elems = experiments._stream_states(seed, point, trials, elements)
+    assert len(snap) == len(trials) and len(elems) == len(trials) * elements
+    for i, t in enumerate(trials):
+        pert_seq, snap_seq = np.random.SeedSequence([seed, point, t]).spawn(2)
+        pairs = [snap[i], *elems[i * elements:(i + 1) * elements]]
+        for seq, pair in zip([snap_seq, *pert_seq.spawn(elements)], pairs):
+            expected, got = np.random.default_rng(seq), loader(pair)
+            assert got.bit_generator.state == expected.bit_generator.state
+            assert got.standard_normal() == expected.standard_normal()
+            assert got.uniform() == expected.uniform()
+            assert got.normal(1.0, 2.0) == expected.normal(1.0, 2.0)
+
+
+def test_stream_states_reject_indices_past_one_word():
+    for trial in (-1, 2**32):
+        with pytest.raises(ValueError, match="trial indices"):
+            experiments._stream_states(0, 0, [trial], 0)
+
+
+def test_run_point_errors_do_not_depend_on_seed_chunks(monkeypatch):
+    # trials are seeded in chunks; the chunk size must not show in the errors
+    cfg = _coupled_sweep(trials=5)
+    errs, fills = run_point(cfg, 1)
+    monkeypatch.setattr(experiments, "_SEED_CHUNK", 2)
+    chunked_errs, chunked_fills = run_point(cfg, 1)
+    assert np.array_equal(chunked_errs, errs) and np.array_equal(chunked_fills, fills)
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,7 +416,7 @@ def test_engine_pruned_search_matches_full_scan(table_file, geometry, kind, esti
         full, expected = engine.run_trial(point, t)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators._PeakSearch, "spectrum", recording)
-            assert engine.estimate(point, t) == expected
+            assert engine.estimate(point, engine.streams(point, [t])[0]) == expected
         assert evaluated_values_equal(spectra[-1], full)
 
 
