@@ -53,23 +53,23 @@ def _cmd_demo(args) -> int:
     stem = Path(args.config).stem
 
     spectrum, estimates = run_overloaded_demo(cfg)
-    provenance = f"# fingerprint={cfg.fingerprint()} seed={cfg.seed}"
+    meta = f"fingerprint={cfg.fingerprint()} seed={cfg.seed}"
 
     spec_path = out / f"{stem}_spectrum.csv"
     db = spectrum.to_db()
     rows = "\n".join(f"{float(a)!r},{float(v)!r}"
                      for a, v in zip(spectrum.grid, db))
-    spec_path.write_text(f"azimuth_deg,power_db\n{provenance}\n{rows}\n")
+    spec_path.write_text(f"azimuth_deg,power_db\n# {meta}\n{rows}\n")
 
     est_path = out / f"{stem}_estimates.csv"
     est_rows = "\n".join(f"{float(a)!r},{int(f)}" for a, f in
                          zip(estimates.angles, estimates.filled))
-    est_path.write_text(f"angle_deg,filled\n{provenance}\n{est_rows}\n")
+    est_path.write_text(f"angle_deg,filled\n# {meta}\n{est_rows}\n")
 
     svg_path = out / f"{stem}.svg"
     render_plot(spectrum, svg_path, title=f"{len(estimates.angles)} sources, "
                 f"{cfg.estimator}", marks=estimates.angles,
-                meta=f"fingerprint={cfg.fingerprint()} seed={cfg.seed}")
+                meta=meta)
 
     print(f"[demo] estimates_deg={' '.join(f'{a:.3f}' for a in estimates.angles)}")
     print(f"[demo] peaks_found={estimates.peaks_found} "

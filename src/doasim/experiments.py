@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -72,29 +73,35 @@ def rmse(estimates, truth) -> float:
     return float(np.sqrt(np.mean((e - t) ** 2)))
 
 
+def _shown(v) -> str:
+    """repr(v) for an error message, cut to a short prefix when long."""
+    text = repr(v)
+    return text if len(text) <= 80 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _as_int(key, v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"key {key!r}: expected integer, got {v!r}", key)
+        raise ConfigError(f"key {key!r}: expected integer, got {_shown(v)}", key)
     return v
 
 
 def _as_float(key, v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"key {key!r}: expected number, got {v!r}", key)
+        raise ConfigError(f"key {key!r}: expected number, got {_shown(v)}", key)
     if not abs(v) <= sys.float_info.max:  # NaN, infinities and ints too large for a float
-        raise ConfigError(f"key {key!r}: must be finite, got {v!r}", key)
+        raise ConfigError(f"key {key!r}: must be finite, got {_shown(v)}", key)
     return float(v)
 
 
 def _as_float_tuple(key, v) -> tuple[float, ...]:
     if not isinstance(v, (list, tuple)):
-        raise ConfigError(f"key {key!r}: expected a list of numbers, got {v!r}", key)
+        raise ConfigError(f"key {key!r}: expected a list of numbers, got {_shown(v)}", key)
     return tuple(_as_float(key, x) for x in v)
 
 
 def _as_str(key, v) -> str:
     if not isinstance(v, str):
-        raise ConfigError(f"key {key!r}: expected string, got {v!r}", key)
+        raise ConfigError(f"key {key!r}: expected string, got {_shown(v)}", key)
     return v
 
 
@@ -164,7 +171,7 @@ class ExperimentConfig:
         for key, (attr, parse, valid, text) in _SCALARS.items():
             value = parse(key, getattr(self, attr))
             if valid is not None and not valid(value):
-                raise ConfigError(f"key {key!r}: {text}, got {value!r}", key)
+                raise ConfigError(f"key {key!r}: {text}, got {_shown(value)}", key)
             object.__setattr__(self, attr, value)
         object.__setattr__(self, "pattern", _as_str("manifold.pattern", self.pattern))
         object.__setattr__(self, "pattern_params", {
@@ -502,23 +509,6 @@ def _stream_states(seed: int, point_index: int, trials,
     return snap, _pcg64_states(_absorb(pert[:, None], j, k + _POOL))
 
 
-class _Reloaded:
-    """N generators for perturbed_gains that are one generator: taking item j
-    loads element stream j's (state, inc) into it. perturbed_gains makes each
-    element's draws before it takes the next item, so element j draws from
-    stream j."""
-
-    def __init__(self, load, pairs: list):
-        self._load = load
-        self._pairs = pairs
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __getitem__(self, j: int) -> np.random.Generator:
-        return self._load(self._pairs[j])
-
-
 class _Point(NamedTuple):
     """One sweep point: its scenario and the data-side constants its trials
     share. `ramp` is the phase ramp at the source angles (N x L); `steering`
@@ -536,9 +526,10 @@ class _TrialEngine:
     The scan covers only the +-fov pick window plus one guard point per side,
     widened to whole blocks and sliced out of azimuth_grid(step) by
     _scan_slice, so that every spectrum value in it, and with it every
-    estimate, is bit-identical to a scan of the whole grid. run_trial scans
-    all of it; estimate picks from the spectrum of only the blocks
-    _PeakSearch certifies, with the same estimates.
+    estimate, is bit-identical to a scan of the whole grid. noise yields each
+    trial's noise subspace; a sweep picks from the spectrum of only the
+    blocks _PeakSearch certifies, the demo from the whole scan, with the
+    same estimates.
 
     The data side of a trial, perturbed patterns times the phase ramp, then
     the coupling matrix, is built in one pass from the validated config; it
@@ -564,8 +555,8 @@ class _TrialEngine:
 
     @functools.cached_property
     def search(self) -> _PeakSearch:
-        """The pruned search over the scan, built on first use: run_trial,
-        and with it the demo, never needs it."""
+        """The pruned search over the scan, built on first use: the demo
+        never needs it."""
         return _PeakSearch(self.grid, self.steering, self.cfg.fov_deg)
 
     def _coupled(self, a: np.ndarray) -> np.ndarray:
@@ -580,16 +571,6 @@ class _TrialEngine:
         if self.perturbation.is_zero:
             steering = self._coupled(evaluate(self.pattern, scenario.angles) * ramp)
         return _Point(index, scenario, ramp, steering)
-
-    def streams(self, point: _Point, trials) -> list[tuple]:
-        """Per trial in `trials`, the PCG64 (state, inc) pairs of its streams:
-        the snapshot stream's, and the N element streams' when the config is
-        perturbed (None otherwise), from one _stream_states call."""
-        n = 0 if point.steering is not None else self.geometry.element_count
-        snap, elements = _stream_states(self.cfg.seed, point.index, trials, n)
-        if elements is None:
-            return [(s, None) for s in snap]
-        return [(s, elements[i * n:(i + 1) * n]) for i, s in enumerate(snap)]
 
     @functools.cached_property
     def _rng(self) -> np.random.Generator:
@@ -606,49 +587,39 @@ class _TrialEngine:
                                          "has_uint32": 0, "uinteger": 0}
         return self._rng
 
-    def data_steering(self, point: _Point, elements: list | None) -> np.ndarray:
-        """The trial's data steering (N x L). A perturbed config draws one
-        pattern deviation per element, from the element streams `elements`
-        that streams gives."""
-        if point.steering is not None:
-            return point.steering
-        gains = perturbed_gains(self.pattern, self.perturbation,
-                                _Reloaded(self._load, elements), point.scenario.angles)
-        return self._coupled(gains * point.ramp)
+    def noise(self, point: _Point, trials) -> Iterator[np.ndarray]:
+        """The noise subspace of every trial in the sequence `trials` of
+        `point`, in order.
 
-    def _noise(self, point: _Point, streams: tuple) -> np.ndarray:
-        """The noise subspace of the trial of `point` whose streams are
-        `streams`, from kernels without the public functions' checks: the
-        config validated the source count, geometry and estimator, and
-        sample_covariance is exactly Hermitian, so element-music runs a bare
-        eigh."""
-        cfg = self.cfg
-        snap, elements = streams
-        # the element streams draw first: every stream loads the one generator
-        steering = self.data_steering(point, elements)
-        snaps = generate_snapshots(self.nominal, point.scenario, cfg.snapshots,
-                                   self._load(snap), steering=steering)
-        r = sample_covariance(snaps)
-        l = point.scenario.source_count
-        if cfg.estimator == "coarray-music":
-            return _coarray_noise(r, self.geometry, l)
-        return np.linalg.eigh(r)[1][:, :r.shape[0] - l]
-
-    def run_trial(self, point: _Point,
-                  trial_index: int) -> tuple[Pseudospectrum, DoaEstimateSet]:
-        """Trial `trial_index` of `point`: its spectrum over the whole scan
-        and the picks from it."""
-        noise = self._noise(point, self.streams(point, [trial_index])[0])
-        ps = Pseudospectrum(self.grid, _spectrum(noise, self.steering))
-        return ps, pick_peaks(ps, point.scenario.source_count, self.cfg.fov_deg)
-
-    def estimate(self, point: _Point, streams: tuple) -> DoaEstimateSet:
-        """The estimates of run_trial(point, t), bit for bit, for the trial t
-        whose streams are `streams`, picked from the pruned search's
-        spectrum."""
-        l = point.scenario.source_count
-        return pick_peaks(self.search.spectrum(self._noise(point, streams), l), l,
-                          self.cfg.fov_deg)
+        The streams of up to _SEED_CHUNK trials are seeded in one
+        _stream_states call. A perturbed config first draws one pattern
+        deviation per element from that trial's element streams, then the
+        snapshots from its snapshot stream; each stream loads the one shared
+        generator. The subspace comes from kernels without the public
+        functions' checks: the config validated the source count, geometry
+        and estimator, and sample_covariance is exactly Hermitian, so
+        element-music runs a bare eigh.
+        """
+        cfg, scenario = self.cfg, point.scenario
+        l = scenario.source_count
+        n = 0 if point.steering is not None else self.geometry.element_count
+        for start in range(0, len(trials), _SEED_CHUNK):
+            snaps, elements = _stream_states(cfg.seed, point.index,
+                                             trials[start:start + _SEED_CHUNK], n)
+            for i, snap in enumerate(snaps):
+                steering = point.steering
+                if steering is None:
+                    gains = perturbed_gains(self.pattern, self.perturbation,
+                                            map(self._load, elements[i * n:(i + 1) * n]),
+                                            scenario.angles)
+                    steering = self._coupled(gains * point.ramp)
+                r = sample_covariance(generate_snapshots(
+                    self.nominal, scenario, cfg.snapshots, self._load(snap),
+                    steering=steering))
+                if cfg.estimator == "coarray-music":
+                    yield _coarray_noise(r, self.geometry, l)
+                else:
+                    yield np.linalg.eigh(r)[1][:, :r.shape[0] - l]
 
 
 def run_point(config: ExperimentConfig, point_index: int, *,
@@ -657,11 +628,10 @@ def run_point(config: ExperimentConfig, point_index: int, *,
 
     Returns (per-trial RMSE array, per-trial fill counts), in trial order.
     Every trial owns a stream keyed by (seed, point index, trial index), so
-    entry t equals what engine.run_trial(point, t) gives on its own; the
-    streams of up to _SEED_CHUNK trials are seeded in one call, and the
-    trials run through the engine's pruned search. `engine`
-    lets a sweep share one engine, built for the same config, across its
-    points.
+    entry t equals what the trial gives on its own, through
+    next(engine.noise(point, [t])) and a full-scan pick; the trials run
+    through the engine's pruned search. `engine` lets a sweep share one
+    engine, built for the same config, across its points.
     """
     points = config.points
     if not 0 <= point_index < len(points):
@@ -672,14 +642,13 @@ def run_point(config: ExperimentConfig, point_index: int, *,
         raise ValueError("engine was built for a different config")
     point = engine.point(point_index)
     truth = point.scenario.angles
+    l = point.scenario.source_count
     errs = np.empty(config.trials)
     fills = np.empty(config.trials, dtype=int)
-    for start in range(0, config.trials, _SEED_CHUNK):
-        chunk = range(start, min(start + _SEED_CHUNK, config.trials))
-        for t, streams in zip(chunk, engine.streams(point, chunk)):
-            est = engine.estimate(point, streams)
-            errs[t] = rmse(est.angles, truth)
-            fills[t] = est.fill_count
+    for t, en in enumerate(engine.noise(point, range(config.trials))):
+        est = pick_peaks(engine.search.spectrum(en, l), l, config.fov_deg)
+        errs[t] = rmse(est.angles, truth)
+        fills[t] = est.fill_count
     return errs, fills
 
 
@@ -711,9 +680,10 @@ def run_overloaded_demo(config: ExperimentConfig) -> tuple[Pseudospectrum, DoaEs
         raise ConfigError(f"key 'family': run_overloaded_demo needs family "
                           f"'overloaded-demo', got {config.family!r}", "family")
     engine = _TrialEngine(config)
-    spectrum, estimates = engine.run_trial(engine.point(0), 0)
-    window = fov_window(spectrum.grid, config.fov_deg, guard=1)
-    return Pseudospectrum(spectrum.grid[window], spectrum.values[window]), estimates
+    en = next(engine.noise(engine.point(0), [0]))
+    window = fov_window(engine.grid, config.fov_deg, guard=1)
+    spectrum = Pseudospectrum(engine.grid[window], _spectrum(en, engine.steering)[window])
+    return spectrum, pick_peaks(spectrum, config.source_count, config.fov_deg)
 
 
 @dataclass(frozen=True)

@@ -270,21 +270,24 @@ def perturbed_gains(pattern: ElementPattern, perturbation: PatternPerturbation,
                     rngs, azimuth_deg) -> np.ndarray:
     """Complex gains of one perturbed copy of `pattern` per generator, (N, K).
 
-    Row n equals evaluate(perturb(pattern, perturbation, rngs[n]), azimuth_deg)
-    bit for bit: each generator makes the same draws in the same order, and
-    all N copies are evaluated in one pass with their shape parameters as
-    (N, 1) columns.
+    `rngs` is any iterable of N generators, a one-shot iterator included; it
+    is consumed once, in order, each generator making its draws before the
+    next is taken. Row n equals evaluate(perturb(pattern, perturbation,
+    rng_n), azimuth_deg) bit for bit: each generator makes the same draws in
+    the same order, and all N copies are evaluated in one pass with their
+    shape parameters as (N, 1) columns.
     """
     az = _azimuths(azimuth_deg)
+    draws = [_draw(pattern.kind, perturbation, rng) for rng in rngs]
     if perturbation.is_zero:
-        return np.broadcast_to(evaluate(pattern, az), (len(rngs), az.size))
-    scales, noise = zip(*(_draw(pattern.kind, perturbation, rng) for rng in rngs))
+        return np.broadcast_to(evaluate(pattern, az), (len(draws), az.size))
+    scales, noise = zip(*draws)
     params = pattern.params
     if scales[0] is not None:
         # (params, N, 1): iterating yields one (N, 1) column per shape parameter
         params = _scaled(pattern, np.array(scales).T[:, :, None])
     noise = None if noise[0] is None else np.array(noise)
-    return np.broadcast_to(_gain(pattern, params, noise, az), (len(rngs), az.size))
+    return np.broadcast_to(_gain(pattern, params, noise, az), (len(draws), az.size))
 
 
 def _parse_row(line: str, lineno: int) -> tuple[float, float, float]:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from doasim import estimators, experiments
-from doasim.estimators import (azimuth_grid, coarray_music, fov_window,
-                               music_pseudospectrum, pick_peaks)
+from doasim.estimators import (Pseudospectrum, _spectrum, azimuth_grid, coarray_music,
+                               fov_window, music_pseudospectrum, pick_peaks)
 from doasim.experiments import (ESTIMATORS, ConfigError, ExperimentConfig,
                                 LinkBudget, SweepResult, range_ratio,
                                 required_snr_for_rmse, rmse, run_overloaded_demo,
@@ -271,8 +271,9 @@ def test_engine_window_scan_matches_full_grid(estimator, fov, step):
     scenario = point.scenario
     grid = azimuth_grid(step)
     window = fov_window(grid, fov, guard=1)
-    for t in range(cfg.trials):
-        spectrum, est = engine.run_trial(point, t)
+    for t, en in enumerate(engine.noise(point, range(cfg.trials))):
+        spectrum = Pseudospectrum(engine.grid, _spectrum(en, engine.steering))
+        est = pick_peaks(spectrum, 3, fov)
         pert_seq, snap_seq = _trial_streams(cfg, 0, t)
         snaps = generate_snapshots(_replay_data_manifold(cfg, pert_seq), scenario,
                                    cfg.snapshots, np.random.default_rng(snap_seq))
@@ -312,9 +313,10 @@ _ANGLE = st.one_of(st.integers(-90, 90).map(float),
 def test_engine_data_steering_matches_public_replay(table_file, kind, c1, phase_noise,
                                                     tolerance, geometry, angles, seed,
                                                     trial):
-    # the engine builds the perturbed, coupled data steering in one pass; it
-    # must equal steering_matrix of the manifold the public functions build
-    # from the same streams, bit for bit, nominal or perturbed
+    # the engine builds the perturbed, coupled data steering in one pass and
+    # synthesizes the trial's snapshots from it; it must equal steering_matrix
+    # of the manifold the public functions build from the same streams, bit
+    # for bit, nominal or perturbed
     cfg = ExperimentConfig(family="fixed-scenario", geometry=geometry, pattern=kind,
                            pattern_params={"file": table_file} if kind == "tabulated"
                            else {},
@@ -323,9 +325,18 @@ def test_engine_data_steering_matches_public_replay(table_file, kind, c1, phase_
                            grid_step_deg=1.0, trials=1, seed=seed)
     engine = experiments._TrialEngine(cfg)
     point = engine.point(0)
-    got = engine.data_steering(point, engine.streams(point, [trial])[0][1])
+    seen = []
+
+    def recording(*args, steering, **kwargs):
+        seen.append(steering)
+        return generate_snapshots(*args, steering=steering, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "generate_snapshots", recording)
+        next(engine.noise(point, [trial]))
     replay = _replay_data_manifold(cfg, _trial_streams(cfg, 0, trial)[0])
-    assert np.array_equal(got, steering_matrix(replay, point.scenario.angles))
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], steering_matrix(replay, point.scenario.angles))
 
 
 @pytest.fixture(scope="module")
@@ -388,8 +399,8 @@ def test_run_point_errors_do_not_depend_on_seed_chunks(monkeypatch):
 def test_engine_pruned_search_matches_full_scan(table_file, geometry, kind, estimator,
                                                 fov, step, spots, snr, snapshots, c1,
                                                 phase_noise, tolerance, seed):
-    # run_point's pruned search gives run_trial's estimates (angles, fills,
-    # peaks_found), and every spectrum value it evaluates equals the
+    # run_point's pruned search gives the full scan's estimates (angles,
+    # fills, peaks_found), and every spectrum value it evaluates equals the
     # full-scan value bit for bit. The vivaldi pattern has nulls at +-50 deg.
     angles = tuple(sorted({round(fov * x, 3) for x in spots}))
     try:
@@ -404,20 +415,12 @@ def test_engine_pruned_search_matches_full_scan(table_file, geometry, kind, esti
     except ConfigError:
         assume(False)
     engine = experiments._TrialEngine(cfg)
-    point = engine.point(0)
-    spectra = []
-    search_spectrum = estimators._PeakSearch.spectrum
-
-    def recording(self, en, count):
-        spectra.append(search_spectrum(self, en, count))
-        return spectra[-1]
-
-    for t in range(cfg.trials):
-        full, expected = engine.run_trial(point, t)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimators._PeakSearch, "spectrum", recording)
-            assert engine.estimate(point, engine.streams(point, [t])[0]) == expected
-        assert evaluated_values_equal(spectra[-1], full)
+    l = len(angles)
+    for en in engine.noise(engine.point(0), range(cfg.trials)):
+        full = Pseudospectrum(engine.grid, _spectrum(en, engine.steering))
+        pruned = engine.search.spectrum(en, l)
+        assert pick_peaks(pruned, l, fov) == pick_peaks(full, l, fov)
+        assert evaluated_values_equal(pruned, full)
 
 
 def test_run_point_trial_streams_differ():

@@ -277,12 +277,14 @@ _KINDS = [make_isotropic(), make_dipole_ref(), make_patch(), make_vivaldi(),
 def test_perturbed_gains_rows_equal_perturb_then_evaluate(pattern, azimuths, count,
                                                          seed, std, tol):
     # one broadcast pass over all copies gives each row exactly what
-    # perturbing and evaluating that copy alone gives
+    # perturbing and evaluating that copy alone gives, whether the generators
+    # come as a list or as a one-shot iterator
     pert = PatternPerturbation(phase_noise_std_deg=std, param_tolerance=tol)
     children = np.random.SeedSequence(seed).spawn(count)
-    got = perturbed_gains(pattern, pert, [np.random.default_rng(c) for c in children],
-                          azimuths)
     expected = [evaluate(perturb(pattern, pert, np.random.default_rng(c)), azimuths)
                 for c in children]
-    assert got.shape == (count, len(azimuths))
-    assert np.array_equal(got, np.stack(expected))
+    for rngs in ([np.random.default_rng(c) for c in children],
+                 iter([np.random.default_rng(c) for c in children])):
+        got = perturbed_gains(pattern, pert, rngs, azimuths)
+        assert got.shape == (count, len(azimuths))
+        assert np.array_equal(got, np.stack(expected))
