@@ -250,11 +250,11 @@ def virtual_steering(aperture: int, azimuth_deg) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _coarray_noise(r: np.ndarray, geometry: ArrayGeometry, source_count: int) -> np.ndarray:
-    """coarray_music's real noise subspace, without its checks on r and
-    source_count."""
-    q = _unitary_basis(geometry.aperture + 1)
-    x = (q.conj().T @ _lag_smoothing(r, geometry) @ q).real
+def _coarray_noise(rss: np.ndarray, source_count: int) -> np.ndarray:
+    """The real noise subspace of smoothed covariance rss in the unitary
+    basis, without checks on rss and source_count."""
+    q = _unitary_basis(rss.shape[0])
+    x = (q.conj().T @ rss @ q).real
     # symmetric only to rounding, and eigh reads one triangle
     return np.linalg.eigh((x + x.T) / 2.0)[1][:, :x.shape[0] - source_count]
 
@@ -274,12 +274,11 @@ def coarray_music(r: np.ndarray, geometry: ArrayGeometry, source_count: int,
     if not 1 <= source_count <= m:
         raise RankError(f"coarray supports 1..{m} sources for {geometry.name!r}, "
                         f"got {source_count}")
-    q = _unitary_basis(m + 1)
-    _, vecs = hermitian_eig((q.conj().T @ coarray_covariance(r, geometry) @ q).real)
+    # the check keeps an overflowing R_ss a ValueError rather than a failed eigh
+    en = _coarray_noise(_check_hermitian(coarray_covariance(r, geometry)), source_count)
     if grid is None:
         grid = azimuth_grid()
-    return Pseudospectrum(grid, _spectrum(vecs[:, :m + 1 - source_count],
-                                          virtual_steering(m, grid)))
+    return Pseudospectrum(grid, _spectrum(en, virtual_steering(m, grid)))
 
 
 def _refine(grid: np.ndarray, vals: np.ndarray, idx: int) -> float:

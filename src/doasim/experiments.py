@@ -20,7 +20,6 @@ import re
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +27,9 @@ import numpy as np
 # stay in this namespace for callers that look them up through experiments,
 # such as perfbench/tracing.py
 from .estimators import (_DENOM_FLOOR, DoaEstimateSet, Pseudospectrum, _coarray_noise,
-                         _PeakSearch, _scan_slice, _spectrum, azimuth_grid, coarray_music,
-                         fov_window, music_pseudospectrum, pick_peaks, virtual_steering)
+                         _lag_smoothing, _PeakSearch, _scan_slice, _spectrum, azimuth_grid,
+                         coarray_music, fov_window, music_pseudospectrum, pick_peaks,
+                         virtual_steering)
 from .geometry import ArrayGeometry, GeometryError, is_perfect, named_geometry
 from .manifold import (SourceScenario, apply_coupling_model, generate_snapshots,
                        make_manifold, phase_ramp, sample_covariance, steering_matrix)
@@ -74,8 +74,14 @@ def rmse(estimates, truth) -> float:
 
 
 def _shown(v) -> str:
-    """repr(v) for an error message, cut to a short prefix when long."""
-    text = repr(v)
+    """repr(v) for an error message, cut to a short prefix when long. An int
+    past Python's digit limit for repr is shown by its bit length."""
+    try:
+        text = repr(v)
+    except ValueError:
+        if not isinstance(v, int):
+            raise
+        return f"a {'negative ' if v < 0 else ''}{v.bit_length()}-bit integer"
     return text if len(text) <= 80 else f"{text[:60]}... ({len(text)} characters)"
 
 
@@ -509,27 +515,16 @@ def _stream_states(seed: int, point_index: int, trials,
     return snap, _pcg64_states(_absorb(pert[:, None], j, k + _POOL))
 
 
-class _Point(NamedTuple):
-    """One sweep point: its scenario and the data-side constants its trials
-    share. `ramp` is the phase ramp at the source angles (N x L); `steering`
-    is the coupled data steering, fixed when nothing is perturbed."""
-
-    index: int
-    scenario: SourceScenario
-    ramp: np.ndarray
-    steering: np.ndarray | None
-
-
 class _TrialEngine:
     """Shared per-trial machinery with precomputed steering tables.
 
     The scan covers only the +-fov pick window plus one guard point per side,
     widened to whole blocks and sliced out of azimuth_grid(step) by
     _scan_slice, so that every spectrum value in it, and with it every
-    estimate, is bit-identical to a scan of the whole grid. noise yields each
-    trial's noise subspace; a sweep picks from the spectrum of only the
-    blocks _PeakSearch certifies, the demo from the whole scan, with the
-    same estimates.
+    estimate, is bit-identical to a scan of the whole grid. noise(index,
+    trials) yields the noise subspace of each trial of sweep point `index`;
+    a sweep picks from the spectrum of only the blocks _PeakSearch
+    certifies, the demo from the whole scan, with the same estimates.
 
     The data side of a trial, perturbed patterns times the phase ramp, then
     the coupling matrix, is built in one pass from the validated config; it
@@ -562,16 +557,6 @@ class _TrialEngine:
     def _coupled(self, a: np.ndarray) -> np.ndarray:
         return a if self.coupling is None else self.coupling @ a
 
-    def point(self, index: int) -> _Point:
-        """Sweep point `index` with its phase ramp and, when nothing is
-        perturbed, its data steering, computed once for all its trials."""
-        scenario = self.cfg.scenario_at(self.cfg.points[index])
-        ramp = phase_ramp(self.geometry, scenario.angles)
-        steering = None
-        if self.perturbation.is_zero:
-            steering = self._coupled(evaluate(self.pattern, scenario.angles) * ramp)
-        return _Point(index, scenario, ramp, steering)
-
     @functools.cached_property
     def _rng(self) -> np.random.Generator:
         """The one generator every stream is loaded into, built on first use
@@ -587,37 +572,41 @@ class _TrialEngine:
                                          "has_uint32": 0, "uinteger": 0}
         return self._rng
 
-    def noise(self, point: _Point, trials) -> Iterator[np.ndarray]:
-        """The noise subspace of every trial in the sequence `trials` of
-        `point`, in order.
+    def noise(self, index: int, trials) -> Iterator[np.ndarray]:
+        """The noise subspace of every trial in the sequence `trials` of sweep
+        point `index`, in order.
 
-        The streams of up to _SEED_CHUNK trials are seeded in one
-        _stream_states call. A perturbed config first draws one pattern
-        deviation per element from that trial's element streams, then the
-        snapshots from its snapshot stream; each stream loads the one shared
-        generator. The subspace comes from kernels without the public
-        functions' checks: the config validated the source count, geometry
-        and estimator, and sample_covariance is exactly Hermitian, so
-        element-music runs a bare eigh.
+        The point's scenario, phase ramp and, when nothing is perturbed,
+        data steering are computed once per call. The streams of up to
+        _SEED_CHUNK trials are seeded in one _stream_states call. A perturbed
+        config first draws one pattern deviation per element from that
+        trial's element streams, then the snapshots from its snapshot stream;
+        each stream loads the one shared generator. The subspace comes from
+        kernels without the public functions' checks: the config validated
+        the source count, geometry and estimator, and sample_covariance is
+        exactly Hermitian, so element-music runs a bare eigh.
         """
-        cfg, scenario = self.cfg, point.scenario
+        cfg = self.cfg
+        scenario = cfg.scenario_at(cfg.points[index])
         l = scenario.source_count
-        n = 0 if point.steering is not None else self.geometry.element_count
+        ramp = phase_ramp(self.geometry, scenario.angles)
+        n = 0 if self.perturbation.is_zero else self.geometry.element_count
+        if not n:
+            steering = self._coupled(evaluate(self.pattern, scenario.angles) * ramp)
         for start in range(0, len(trials), _SEED_CHUNK):
-            snaps, elements = _stream_states(cfg.seed, point.index,
+            snaps, elements = _stream_states(cfg.seed, index,
                                              trials[start:start + _SEED_CHUNK], n)
             for i, snap in enumerate(snaps):
-                steering = point.steering
-                if steering is None:
+                if n:
                     gains = perturbed_gains(self.pattern, self.perturbation,
                                             map(self._load, elements[i * n:(i + 1) * n]),
                                             scenario.angles)
-                    steering = self._coupled(gains * point.ramp)
+                    steering = self._coupled(gains * ramp)
                 r = sample_covariance(generate_snapshots(
                     self.nominal, scenario, cfg.snapshots, self._load(snap),
                     steering=steering))
                 if cfg.estimator == "coarray-music":
-                    yield _coarray_noise(r, self.geometry, l)
+                    yield _coarray_noise(_lag_smoothing(r, self.geometry), l)
                 else:
                     yield np.linalg.eigh(r)[1][:, :r.shape[0] - l]
 
@@ -629,9 +618,10 @@ def run_point(config: ExperimentConfig, point_index: int, *,
     Returns (per-trial RMSE array, per-trial fill counts), in trial order.
     Every trial owns a stream keyed by (seed, point index, trial index), so
     entry t equals what the trial gives on its own, through
-    next(engine.noise(point, [t])) and a full-scan pick; the trials run
-    through the engine's pruned search. `engine` lets a sweep share one
-    engine, built for the same config, across its points.
+    next(engine.noise(point_index, [t])) and a full-scan pick, scored
+    against config.scenario_at of the point; the trials run through the
+    engine's pruned search. `engine` lets a sweep share one engine, built
+    for the same config, across its points.
     """
     points = config.points
     if not 0 <= point_index < len(points):
@@ -640,12 +630,11 @@ def run_point(config: ExperimentConfig, point_index: int, *,
         engine = _TrialEngine(config)
     elif engine.cfg != config:
         raise ValueError("engine was built for a different config")
-    point = engine.point(point_index)
-    truth = point.scenario.angles
-    l = point.scenario.source_count
+    scenario = config.scenario_at(points[point_index])
+    truth, l = scenario.angles, scenario.source_count
     errs = np.empty(config.trials)
     fills = np.empty(config.trials, dtype=int)
-    for t, en in enumerate(engine.noise(point, range(config.trials))):
+    for t, en in enumerate(engine.noise(point_index, range(config.trials))):
         est = pick_peaks(engine.search.spectrum(en, l), l, config.fov_deg)
         errs[t] = rmse(est.angles, truth)
         fills[t] = est.fill_count
@@ -680,7 +669,7 @@ def run_overloaded_demo(config: ExperimentConfig) -> tuple[Pseudospectrum, DoaEs
         raise ConfigError(f"key 'family': run_overloaded_demo needs family "
                           f"'overloaded-demo', got {config.family!r}", "family")
     engine = _TrialEngine(config)
-    en = next(engine.noise(engine.point(0), [0]))
+    en = next(engine.noise(0, [0]))
     window = fov_window(engine.grid, config.fov_deg, guard=1)
     spectrum = Pseudospectrum(engine.grid[window], _spectrum(en, engine.steering)[window])
     return spectrum, pick_peaks(spectrum, config.source_count, config.fov_deg)

@@ -42,6 +42,11 @@ class ArrayGeometry:
         object.__setattr__(self, "positions", pos)
         if len(pos) < 2:
             raise GeometryError("need at least 2 elements")
+        # phases are computed in floats, which hold every integer only to 2**53
+        big = next((p for p in pos if abs(p) > 2**53), None)
+        if big is not None:
+            raise GeometryError(f"positions must be at most 2**53, got a "
+                                f"{big.bit_length()}-bit one")
         if pos[0] != 0:
             raise GeometryError(f"first position must be 0, got {pos[0]}")
         if any(b <= a for a, b in zip(pos, pos[1:])):

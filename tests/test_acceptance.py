@@ -280,10 +280,9 @@ def test_criterion_8_invariant_suite():
                            phase_noise_std_deg=2.0)
     errs, fills = run_point(cfg, 0)
     engine = _TrialEngine(cfg)
-    point = engine.point(0)
     replayed = True
     for t in reversed(range(cfg.trials)):
-        en = next(engine.noise(point, [t]))
+        en = next(engine.noise(0, [t]))
         est = pick_peaks(Pseudospectrum(engine.grid, _spectrum(en, engine.steering)),
                          len(PAIR_ANGLES), FOV_DEG)
         replayed = replayed and (rmse(est.angles, PAIR_ANGLES) == errs[t]

@@ -117,6 +117,9 @@ def _with_key(conf: str, key: str, value: str) -> str:
     ("manifold.pattern.main_exponent", "1e300"),
     # an integer literal past Python's 4,300-digit conversion limit
     pytest.param("snr_db", "1" + "0" * 5000, id="snr_db-5001 digits"),
+    # positions past 2**53, which float phases cannot hold exactly
+    pytest.param("geometry", "[0, 1, 9007199254740993]", id="geometry-2**53+1"),
+    pytest.param("geometry", "[0, 1, 1" + "0" * 400 + "]", id="geometry-401 digits"),
 ])
 def test_sweep_invalid_scalar_exits_2(tmp_path, capsys, key, value):
     # rejected at parse time, naming the key, before any trial runs

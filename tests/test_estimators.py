@@ -324,6 +324,14 @@ def test_coarray_music_recovers_source():
     assert abs(est.angles[0] - (-14.0)) < 0.1
 
 
+def test_coarray_music_rejects_overflowing_smoothed_covariance():
+    # a finite covariance whose smoothed coarray covariance overflows is
+    # rejected before the eigendecomposition, not left to fail inside it
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            coarray_music(np.eye(4) * 1e300, make_mra(4), 2, azimuth_grid(1.0))
+
+
 def test_coarray_music_overloaded_capacity():
     geom = make_mra(8)
     with pytest.raises(RankError):
@@ -356,6 +364,22 @@ def test_virtual_steering_structure():
         assert np.allclose(q.conj().T @ q, np.eye(aperture + 1), atol=1e-15)
         assert np.allclose(q @ virtual_steering(aperture, az),
                            _centred_steering(aperture, az), atol=1e-12)
+
+
+@pytest.mark.parametrize("name, sources", [("ula3", 1), ("mra4", 4), ("mra8", 10)])
+def test_coarray_noise_is_checked_eig_in_unitary_basis(name, sources):
+    # coarray_music and the sweep engine share this kernel, so neither can
+    # serve as the other's reference: pin it, bit for bit, to hermitian_eig
+    # of Re(Q^H R_ss Q)
+    geom = named_geometry(name)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((geom.element_count, 64)) \
+        + 1j * rng.standard_normal((geom.element_count, 64))
+    rss = coarray_covariance(sample_covariance(x), geom)
+    q = _unitary_basis(geom.aperture + 1)
+    _, vecs = hermitian_eig((q.conj().T @ rss @ q).real)
+    assert np.array_equal(estimators._coarray_noise(rss, sources),
+                          vecs[:, :geom.aperture + 1 - sources])
 
 
 @pytest.mark.parametrize("name, sources", [("ula3", 1), ("mra3", 2),

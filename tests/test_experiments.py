@@ -153,6 +153,17 @@ def test_config_mapping_errors():
         ExperimentConfig.from_mapping(bad)
 
 
+@pytest.mark.parametrize("key, value", [("snr_db", 10**5000), ("angles", (10**5000,)),
+                                        ("seed", -10**5000)],
+                         ids=["snr_db", "angles", "seed"])
+def test_config_error_names_key_of_int_past_digit_limit(key, value):
+    # such an int has no repr; the error shows its bit length and the key
+    with pytest.raises(ConfigError, match="16610-bit integer") as exc:
+        ExperimentConfig(family="fixed-scenario", geometry="ula4", pattern="isotropic",
+                         **{key: value})
+    assert exc.value.key == key
+
+
 # ------------------------------------------------------------------ sweeps
 
 def test_run_sweep_deterministic():
@@ -267,11 +278,10 @@ def test_engine_window_scan_matches_full_grid(estimator, fov, step):
                            estimator=estimator, fov_deg=fov, grid_step_deg=step,
                            coupling_c1=0.1, phase_noise_std_deg=3.0, seed=4)
     engine = experiments._TrialEngine(cfg)
-    point = engine.point(0)
-    scenario = point.scenario
+    scenario = cfg.scenario_at(cfg.points[0])
     grid = azimuth_grid(step)
     window = fov_window(grid, fov, guard=1)
-    for t, en in enumerate(engine.noise(point, range(cfg.trials))):
+    for t, en in enumerate(engine.noise(0, range(cfg.trials))):
         spectrum = Pseudospectrum(engine.grid, _spectrum(en, engine.steering))
         est = pick_peaks(spectrum, 3, fov)
         pert_seq, snap_seq = _trial_streams(cfg, 0, t)
@@ -324,7 +334,7 @@ def test_engine_data_steering_matches_public_replay(table_file, kind, c1, phase_
                            phase_noise_std_deg=phase_noise, param_tolerance=tolerance,
                            grid_step_deg=1.0, trials=1, seed=seed)
     engine = experiments._TrialEngine(cfg)
-    point = engine.point(0)
+    scenario = cfg.scenario_at(cfg.points[0])
     seen = []
 
     def recording(*args, steering, **kwargs):
@@ -333,10 +343,10 @@ def test_engine_data_steering_matches_public_replay(table_file, kind, c1, phase_
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "generate_snapshots", recording)
-        next(engine.noise(point, [trial]))
+        next(engine.noise(0, [trial]))
     replay = _replay_data_manifold(cfg, _trial_streams(cfg, 0, trial)[0])
     assert len(seen) == 1
-    assert np.array_equal(seen[0], steering_matrix(replay, point.scenario.angles))
+    assert np.array_equal(seen[0], steering_matrix(replay, scenario.angles))
 
 
 @pytest.fixture(scope="module")
@@ -416,7 +426,7 @@ def test_engine_pruned_search_matches_full_scan(table_file, geometry, kind, esti
         assume(False)
     engine = experiments._TrialEngine(cfg)
     l = len(angles)
-    for en in engine.noise(engine.point(0), range(cfg.trials)):
+    for en in engine.noise(0, range(cfg.trials)):
         full = Pseudospectrum(engine.grid, _spectrum(en, engine.steering))
         pruned = engine.search.spectrum(en, l)
         assert pick_peaks(pruned, l, fov) == pick_peaks(full, l, fov)
