@@ -9,6 +9,7 @@ nominal manifold a caller passes in; any mismatch lives in the data.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,16 @@ class Pseudospectrum:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _trusted(cls, grid: np.ndarray, values: np.ndarray) -> "Pseudospectrum":
+        """A spectrum of float arrays that pass the constructor's checks, which
+        it skips: the sweep engine builds one per trial."""
+        spectrum = object.__new__(cls)
+        for name, a in (("grid", grid), ("values", values)):
+            a.flags.writeable = False
+            object.__setattr__(spectrum, name, a)
+        return spectrum
+
     def to_db(self) -> np.ndarray:
         """Values in dB relative to the peak."""
         return 10.0 * np.log10(self.values / self.values.max())
@@ -123,12 +134,12 @@ class DoaEstimateSet:
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Squared norms of the columns of x."""
+    """Squared norms of the columns of x, or of each matrix of a stack x."""
     if np.iscomplexobj(x):
         # |z|^2 summed down the columns, without a conjugate copy; the same
         # values as the einsum bit for bit
-        return np.add.reduce(np.square(x.real) + np.square(x.imag), axis=0)
-    return np.einsum("ij,ij->j", x, x)
+        return np.add.reduce(np.square(x.real) + np.square(x.imag), axis=-2)
+    return np.einsum("...ij,...ij->...j", x, x)
 
 
 def _spectrum(noise_vecs: np.ndarray, steering: np.ndarray) -> np.ndarray:
@@ -198,7 +209,9 @@ def coarray_covariance(r: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
     n = geometry.element_count
     if r.shape[0] != n:
         raise ValueError(f"covariance size {r.shape[0]} != element count {n}")
-    return _lag_smoothing(r, geometry)
+    # a finite r can still overflow here; coarray_music rejects the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _lag_smoothing(r, geometry)
 
 
 def _lag_smoothing(r: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
@@ -364,7 +377,8 @@ class _PeakSearch:
     `steering` holds its columns. Its blocks are its aligned _SCAN_BLOCK-column
     slices; the last may be partial. spectrum(en, count) is a Pseudospectrum
     on which pick_peaks(., count, fov) gives what it gives on the full scan
-    Pseudospectrum(grid, _spectrum(en, steering)), bit for bit:
+    Pseudospectrum(grid, _spectrum(en, steering)), bit for bit; spectra(ens,
+    count) gives it for every E_n of a stack, from one bound product:
 
     - Bound. E_n has orthonormal columns, so for columns i and c,
       ||E_n^H a_i|| >= ||E_n^H a_c|| - ||a_i - a_c||. Block b keeps its
@@ -445,9 +459,10 @@ class _PeakSearch:
 
     def _bounds(self, en: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(denominator at the reference columns and at the table's first
-        and last column, UB_b for every block)."""
-        denom = _sq_norms(en.conj().T @ self._refs)
-        ub = np.sqrt(denom[:-2])
+        and last column, UB_b for every block), of E_n or of each E_n of a
+        stack, every one bit for bit as if alone."""
+        denom = _sq_norms(np.swapaxes(en.conj(), -1, -2) @ self._refs)
+        ub = np.sqrt(denom[..., :-2])
         ub *= 1.0 - 1e-9
         ub -= self._shift
         np.maximum(ub, 0.0, out=ub)
@@ -456,17 +471,22 @@ class _PeakSearch:
         return denom, np.divide(1.0, ub, out=ub)
 
     def spectrum(self, en: np.ndarray, count: int) -> Pseudospectrum:
+        return next(self.spectra(en[None], count))
+
+    def spectra(self, ens: np.ndarray, count: int) -> Iterator[Pseudospectrum]:
+        """spectrum(en, count) of every E_n of the stack ens, in order."""
         # a one-column E_n takes BLAS's matrix-vector path, whose rounding
         # of a column depends on where it sits, so it scans the whole table
-        compact = self._search(en, count) if en.shape[1] > 1 else None
-        if compact is None:
-            return Pseudospectrum(self.grid, _spectrum(en, self.steering))
-        return compact
+        coarse = zip(*self._bounds(ens)) if ens.shape[-1] > 1 else [None] * len(ens)
+        for en, bounds in zip(ens, coarse):
+            compact = None if bounds is None else self._search(en, count, *bounds)
+            yield Pseudospectrum._trusted(self.grid, _spectrum(en, self.steering)) \
+                if compact is None else compact
 
-    def _search(self, en: np.ndarray, count: int) -> Pseudospectrum | None:
-        """The certified compact spectrum, or None when the full table must
-        be scanned."""
-        denom, bound = self._bounds(en)
+    def _search(self, en: np.ndarray, count: int, denom: np.ndarray,
+                bound: np.ndarray) -> Pseudospectrum | None:
+        """The certified compact spectrum from E_n's _bounds, or None when the
+        full table must be scanned."""
         ends = 1.0 / np.maximum(denom[-2:], _DENOM_FLOOR)
         blocks = self._blocks
         # spectrum maxima at the reference columns are denominator minima
@@ -503,4 +523,5 @@ class _PeakSearch:
         # ends[i:1] and ends[1:j] are empty where a kept block holds that end
         i, j = int(cols[0] == 0), 2 - int(cols[-1] == self.grid.size - 1)
         cols = np.concatenate((self._ends[i:1], cols, self._ends[1:j]))
-        return Pseudospectrum(self.grid[cols], np.concatenate((ends[i:1], v, ends[1:j])))
+        return Pseudospectrum._trusted(self.grid[cols],
+                                       np.concatenate((ends[i:1], v, ends[1:j])))

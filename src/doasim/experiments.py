@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -23,16 +24,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# music_pseudospectrum, coarray_music and perturb are not called here; they
-# stay in this namespace for callers that look them up through experiments,
-# such as perfbench/tracing.py
-from .estimators import (_DENOM_FLOOR, DoaEstimateSet, Pseudospectrum, _coarray_noise,
-                         _lag_smoothing, _PeakSearch, _scan_slice, _spectrum, azimuth_grid,
-                         coarray_music, fov_window, music_pseudospectrum, pick_peaks,
-                         virtual_steering)
+# music_pseudospectrum, coarray_music, generate_snapshots and perturb are not
+# called here; they stay in this namespace for callers that look them up
+# through experiments, such as perfbench/tracing.py
+from .estimators import (_DENOM_FLOOR, _SCAN_BLOCK, DoaEstimateSet, Pseudospectrum,
+                         _coarray_noise, _lag_smoothing, _PeakSearch, _scan_slice,
+                         _spectrum, azimuth_grid, coarray_music, fov_window,
+                         music_pseudospectrum, pick_peaks, virtual_steering)
 from .geometry import ArrayGeometry, GeometryError, is_perfect, named_geometry
-from .manifold import (SourceScenario, apply_coupling_model, generate_snapshots,
-                       make_manifold, phase_ramp, sample_covariance, steering_matrix)
+from .manifold import (SourceScenario, _synthesize, apply_coupling_model,
+                       generate_snapshots, make_manifold, phase_ramp, sample_covariance,
+                       steering_matrix)
 from .patterns import (MIN_STEP_DEG, ElementPattern, PatternError, PatternPerturbation,
                        TableError, evaluate, make_pattern, perturb, perturbed_gains)
 
@@ -70,7 +72,14 @@ def rmse(estimates, truth) -> float:
     if e.shape != t.shape or e.size == 0:
         raise ValueError(f"estimate/truth lists must match and be non-empty, "
                          f"got {e.size} vs {t.size}")
-    return float(np.sqrt(np.mean((e - t) ** 2)))
+    return float(_sorted_rmse(e, t))
+
+
+def _sorted_rmse(e: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """rmse of sorted estimates e against sorted truth t, without checks; a
+    stack of estimate rows gives one RMSE per row, each bit for bit that
+    row's alone."""
+    return np.sqrt(np.mean((e - t) ** 2, axis=-1))
 
 
 def _shown(v) -> str:
@@ -428,6 +437,10 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 # trials per _stream_states call, so that seeding memory does not grow with
 # the trial count
 _SEED_CHUNK = 256
+# bytes that one stacked array of a chunk of trials may take, at 16 bytes an
+# entry; 2**16 complex entries keep a sweep's peak memory within about 1 MB
+# of running its trials one at a time
+_CHUNK_BYTES = 2**20
 
 
 @functools.cache
@@ -516,15 +529,16 @@ def _stream_states(seed: int, point_index: int, trials,
 
 
 class _TrialEngine:
-    """Shared per-trial machinery with precomputed steering tables.
+    """Shared trial machinery with precomputed steering tables.
 
     The scan covers only the +-fov pick window plus one guard point per side,
     widened to whole blocks and sliced out of azimuth_grid(step) by
     _scan_slice, so that every spectrum value in it, and with it every
     estimate, is bit-identical to a scan of the whole grid. noise(index,
-    trials) yields the noise subspace of each trial of sweep point `index`;
-    a sweep picks from the spectrum of only the blocks _PeakSearch
-    certifies, the demo from the whole scan, with the same estimates.
+    trials) yields the noise subspaces of the trials of sweep point `index`,
+    one stack per chunk of trials; a sweep picks from the spectrum of only
+    the blocks _PeakSearch certifies, the demo from the whole scan, with the
+    same estimates.
 
     The data side of a trial, perturbed patterns times the phase ramp, then
     the coupling matrix, is built in one pass from the validated config; it
@@ -572,43 +586,64 @@ class _TrialEngine:
                                          "has_uint32": 0, "uinteger": 0}
         return self._rng
 
+    def _chunk(self, sources: int) -> int:
+        """Trials per chunk: at most _SEED_CHUNK, and few enough that no
+        stacked array of the chunk passes _CHUNK_BYTES. Per trial, the draws
+        and snapshots take at most max(L, N) * T complex entries, the
+        search's bound product at most rows * (blocks + 2)."""
+        rows, columns = self.steering.shape
+        refs = -(-columns // _SCAN_BLOCK) + 2
+        entries = max(max(sources, self.geometry.element_count) * self.cfg.snapshots,
+                      rows * refs)
+        return max(1, min(_SEED_CHUNK, _CHUNK_BYTES // (16 * entries)))
+
     def noise(self, index: int, trials) -> Iterator[np.ndarray]:
-        """The noise subspace of every trial in the sequence `trials` of sweep
-        point `index`, in order.
+        """The noise subspaces of the trials in the sequence `trials` of sweep
+        point `index`, in order, as one stack (B, rows, rows - L) per chunk
+        of B trials; a single trial is a chunk of one.
 
         The point's scenario, phase ramp and, when nothing is perturbed,
-        data steering are computed once per call. The streams of up to
-        _SEED_CHUNK trials are seeded in one _stream_states call. A perturbed
-        config first draws one pattern deviation per element from that
-        trial's element streams, then the snapshots from its snapshot stream;
-        each stream loads the one shared generator. The subspace comes from
-        kernels without the public functions' checks: the config validated
-        the source count, geometry and estimator, and sample_covariance is
-        exactly Hermitian, so element-music runs a bare eigh.
+        data steering are computed once per call. Per chunk, one
+        _stream_states call seeds the streams, one perturbed_gains call
+        draws every element deviation of a perturbed config, and each
+        trial's snapshot stream fills its slices of the source and noise
+        draws; every stream loads the one shared generator. Mixing,
+        covariance and element-music's eigh then run once on the stack,
+        each trial bit for bit as alone; coarray lag smoothing runs per
+        trial, as a stacked mean rounds differently. The kernels skip the
+        public functions' checks: the config validated the source count,
+        geometry and estimator, and sample_covariance is exactly Hermitian,
+        so element-music runs a bare eigh.
         """
         cfg = self.cfg
         scenario = cfg.scenario_at(cfg.points[index])
-        l = scenario.source_count
+        l, k = scenario.source_count, cfg.snapshots
+        n = self.geometry.element_count
         ramp = phase_ramp(self.geometry, scenario.angles)
-        n = 0 if self.perturbation.is_zero else self.geometry.element_count
-        if not n:
+        perturbed = not self.perturbation.is_zero
+        if not perturbed:
             steering = self._coupled(evaluate(self.pattern, scenario.angles) * ramp)
-        for start in range(0, len(trials), _SEED_CHUNK):
-            snaps, elements = _stream_states(cfg.seed, index,
-                                             trials[start:start + _SEED_CHUNK], n)
+        size = self._chunk(l)
+        for start in range(0, len(trials), size):
+            snaps, elements = _stream_states(cfg.seed, index, trials[start:start + size],
+                                             n if perturbed else 0)
+            b = len(snaps)
+            if perturbed:
+                gains = perturbed_gains(self.pattern, self.perturbation,
+                                        map(self._load, elements), scenario.angles)
+                steering = self._coupled(gains.reshape(b, n, l) * ramp)
+            sr, nr = np.empty((b, 2, l, k)), np.empty((b, 2, n, k))
             for i, snap in enumerate(snaps):
-                if n:
-                    gains = perturbed_gains(self.pattern, self.perturbation,
-                                            map(self._load, elements[i * n:(i + 1) * n]),
-                                            scenario.angles)
-                    steering = self._coupled(gains * ramp)
-                r = sample_covariance(generate_snapshots(
-                    self.nominal, scenario, cfg.snapshots, self._load(snap),
-                    steering=steering))
-                if cfg.estimator == "coarray-music":
-                    yield _coarray_noise(_lag_smoothing(r, self.geometry), l)
-                else:
-                    yield np.linalg.eigh(r)[1][:, :r.shape[0] - l]
+                rng = self._load(snap)
+                rng.standard_normal(out=sr[i])
+                rng.standard_normal(out=nr[i])
+            x = _synthesize(steering, scenario.per_source_snr_db, sr, nr)
+            r = sample_covariance(x)
+            if cfg.estimator == "coarray-music":
+                yield np.stack([_coarray_noise(_lag_smoothing(ri, self.geometry), l)
+                                for ri in r])
+            else:
+                yield np.linalg.eigh(r)[1][..., :n - l]
 
 
 def run_point(config: ExperimentConfig, point_index: int, *,
@@ -618,10 +653,12 @@ def run_point(config: ExperimentConfig, point_index: int, *,
     Returns (per-trial RMSE array, per-trial fill counts), in trial order.
     Every trial owns a stream keyed by (seed, point index, trial index), so
     entry t equals what the trial gives on its own, through
-    next(engine.noise(point_index, [t])) and a full-scan pick, scored
-    against config.scenario_at of the point; the trials run through the
-    engine's pruned search. `engine` lets a sweep share one engine, built
-    for the same config, across its points.
+    next(engine.noise(point_index, [t]))[0] and a full-scan pick, scored
+    against config.scenario_at of the point. The trials run chunk by chunk
+    through engine.noise and the engine's pruned search, which bounds a
+    chunk in one product; the point's estimates are scored in one array
+    operation. `engine` lets a sweep share one engine, built for the same
+    config, across its points.
     """
     points = config.points
     if not 0 <= point_index < len(points):
@@ -631,14 +668,16 @@ def run_point(config: ExperimentConfig, point_index: int, *,
     elif engine.cfg != config:
         raise ValueError("engine was built for a different config")
     scenario = config.scenario_at(points[point_index])
-    truth, l = scenario.angles, scenario.source_count
-    errs = np.empty(config.trials)
+    l = scenario.source_count
+    estimates = np.empty((config.trials, l))
     fills = np.empty(config.trials, dtype=int)
-    for t, en in enumerate(engine.noise(point_index, range(config.trials))):
-        est = pick_peaks(engine.search.spectrum(en, l), l, config.fov_deg)
-        errs[t] = rmse(est.angles, truth)
+    chunks = engine.noise(point_index, range(config.trials))
+    spectra = itertools.chain.from_iterable(engine.search.spectra(ens, l) for ens in chunks)
+    for t, spectrum in enumerate(spectra):
+        est = pick_peaks(spectrum, l, config.fov_deg)
+        estimates[t] = est.angles
         fills[t] = est.fill_count
-    return errs, fills
+    return _sorted_rmse(estimates, np.sort(scenario.angles)), fills
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
@@ -669,7 +708,7 @@ def run_overloaded_demo(config: ExperimentConfig) -> tuple[Pseudospectrum, DoaEs
         raise ConfigError(f"key 'family': run_overloaded_demo needs family "
                           f"'overloaded-demo', got {config.family!r}", "family")
     engine = _TrialEngine(config)
-    en = next(engine.noise(0, [0]))
+    en = next(engine.noise(0, [0]))[0]
     window = fov_window(engine.grid, config.fov_deg, guard=1)
     spectrum = Pseudospectrum(engine.grid[window], _spectrum(en, engine.steering)[window])
     return spectrum, pick_peaks(spectrum, config.source_count, config.fov_deg)

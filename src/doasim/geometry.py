@@ -7,6 +7,7 @@ to coarray-domain estimators.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -36,6 +37,9 @@ class ArrayGeometry:
     name: str = "custom"
 
     def __post_init__(self):
+        # int() raises a bare OverflowError on an infinity, ValueError on NaN
+        if any(p != p or p in (math.inf, -math.inf) for p in self.positions):
+            raise GeometryError(f"positions must be finite, got {self.positions!r}")
         pos = tuple(int(p) for p in self.positions)
         if any(p != q for p, q in zip(pos, self.positions)):
             raise GeometryError(f"positions must be integers, got {self.positions!r}")

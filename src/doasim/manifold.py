@@ -181,18 +181,35 @@ def generate_snapshots(manifold: ArrayManifold, scenario: SourceScenario,
         steering = steering_matrix(manifold, scenario.angles)
     elif steering.shape != (n, l):
         raise ValueError(f"steering shape {steering.shape} != ({n}, {l})")
-    amp = 10.0 ** (np.asarray(scenario.per_source_snr_db) / 20.0)
     sr = gen.standard_normal((2, l, t))
-    s = amp[:, None] * (sr[0] + 1j * sr[1]) / np.sqrt(2.0)
     nr = gen.standard_normal((2, n, t))
-    noise = (nr[0] + 1j * nr[1]) / np.sqrt(2.0)
-    return SnapshotSet(steering @ s + noise, scenario, manifold.label, seed_note)
+    return SnapshotSet(_synthesize(steering, scenario.per_source_snr_db, sr, nr), scenario,
+                       manifold.label, seed_note)
+
+
+def _synthesize(steering: np.ndarray, snr_db, sr: np.ndarray, nr: np.ndarray) -> np.ndarray:
+    """x = A s + n from standard normal draws, for one trial or a stack.
+
+    sr (..., 2, L, T) holds the real and imaginary source draws, scaled to
+    the per-source SNRs snr_db; nr (..., 2, N, T) those of the unit-power
+    noise. A is N x L or a matching stack (..., N, L). Every entry of a
+    stack is computed with exactly the arithmetic of its trial alone.
+    """
+    amp = 10.0 ** (np.asarray(snr_db) / 20.0)
+    s = amp[:, None] * (sr[..., 0, :, :] + 1j * sr[..., 1, :, :]) / np.sqrt(2.0)
+    noise = (nr[..., 0, :, :] + 1j * nr[..., 1, :, :]) / np.sqrt(2.0)
+    return steering @ s + noise
 
 
 def sample_covariance(snapshots) -> np.ndarray:
-    """Hermitian sample covariance X X^H / T, symmetrized against roundoff."""
+    """Hermitian sample covariance X X^H / T, symmetrized against roundoff.
+
+    A stack (..., N, T) of snapshot arrays gives the stack of their
+    covariances, each bit for bit the covariance of its array alone.
+    """
     x = snapshots.data if isinstance(snapshots, SnapshotSet) else np.asarray(snapshots)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError(f"need an N x T snapshot array, got shape {x.shape}")
-    r = x @ x.conj().T / x.shape[1]
-    return (r + r.conj().T) / 2.0
+    if x.ndim < 2 or x.shape[-1] < 1:
+        raise ValueError(f"need an N x T snapshot array or a stack of them, "
+                         f"got shape {x.shape}")
+    r = x @ np.swapaxes(x.conj(), -1, -2) / x.shape[-1]
+    return (r + np.swapaxes(r.conj(), -1, -2)) / 2.0

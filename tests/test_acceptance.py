@@ -282,7 +282,7 @@ def test_criterion_8_invariant_suite():
     engine = _TrialEngine(cfg)
     replayed = True
     for t in reversed(range(cfg.trials)):
-        en = next(engine.noise(0, [t]))
+        en = next(engine.noise(0, [t]))[0]
         est = pick_peaks(Pseudospectrum(engine.grid, _spectrum(en, engine.steering)),
                          len(PAIR_ANGLES), FOV_DEG)
         replayed = replayed and (rmse(est.angles, PAIR_ANGLES) == errs[t]

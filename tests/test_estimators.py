@@ -36,6 +36,13 @@ def test_sample_covariance_is_exactly_hermitian(x):
     assert np.array_equal(r, r.conj().T)
     for ours, bare in zip(hermitian_eig(r), np.linalg.eigh(r)):
         assert np.array_equal(ours, bare)
+    # the sweep engine forms a chunk's covariances as one stack; each must be
+    # its slice's covariance bit for bit, wherever the slice sits
+    stack = sample_covariance(np.stack([x[::-1], x, 3.0 * x]))
+    assert stack.shape == (3, *r.shape)
+    assert np.array_equal(stack[1], r)
+    assert np.array_equal(stack[0], sample_covariance(x[::-1]))
+    assert np.array_equal(stack[2], sample_covariance(3.0 * x))
 
 
 def test_eigh_identity():
@@ -327,9 +334,8 @@ def test_coarray_music_recovers_source():
 def test_coarray_music_rejects_overflowing_smoothed_covariance():
     # a finite covariance whose smoothed coarray covariance overflows is
     # rejected before the eigendecomposition, not left to fail inside it
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="non-finite"):
-            coarray_music(np.eye(4) * 1e300, make_mra(4), 2, azimuth_grid(1.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        coarray_music(np.eye(4) * 1e300, make_mra(4), 2, azimuth_grid(1.0))
 
 
 def test_coarray_music_overloaded_capacity():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -164,6 +165,14 @@ def test_config_error_names_key_of_int_past_digit_limit(key, value):
     assert exc.value.key == key
 
 
+@pytest.mark.parametrize("position", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_config_error_names_geometry_of_non_finite_position(position):
+    with pytest.raises(ConfigError, match="finite") as exc:
+        ExperimentConfig(family="fixed-scenario", geometry=(0, 1, position),
+                         pattern="isotropic")
+    assert exc.value.key == "geometry"
+
+
 # ------------------------------------------------------------------ sweeps
 
 def test_run_sweep_deterministic():
@@ -264,6 +273,11 @@ def _trial_streams(cfg: ExperimentConfig, point_index: int, trial_index: int):
     return np.random.SeedSequence([cfg.seed, point_index, trial_index]).spawn(2)
 
 
+def _trial_noise(engine, point_index: int, trials):
+    """The engine's noise subspaces of `trials`, one per trial, unstacked."""
+    return itertools.chain.from_iterable(engine.noise(point_index, trials))
+
+
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 @pytest.mark.parametrize("fov", [30.0, 45.5, 90.0])
 @pytest.mark.parametrize("step", [0.01, 0.013, 0.07])
@@ -281,7 +295,7 @@ def test_engine_window_scan_matches_full_grid(estimator, fov, step):
     scenario = cfg.scenario_at(cfg.points[0])
     grid = azimuth_grid(step)
     window = fov_window(grid, fov, guard=1)
-    for t, en in enumerate(engine.noise(0, range(cfg.trials))):
+    for t, en in enumerate(_trial_noise(engine, 0, range(cfg.trials))):
         spectrum = Pseudospectrum(engine.grid, _spectrum(en, engine.steering))
         est = pick_peaks(spectrum, 3, fov)
         pert_seq, snap_seq = _trial_streams(cfg, 0, t)
@@ -326,7 +340,8 @@ def test_engine_data_steering_matches_public_replay(table_file, kind, c1, phase_
     # the engine builds the perturbed, coupled data steering in one pass and
     # synthesizes the trial's snapshots from it; it must equal steering_matrix
     # of the manifold the public functions build from the same streams, bit
-    # for bit, nominal or perturbed
+    # for bit, nominal or perturbed. A perturbed chunk passes one steering
+    # matrix per trial, a nominal one the matrix all its trials share.
     cfg = ExperimentConfig(family="fixed-scenario", geometry=geometry, pattern=kind,
                            pattern_params={"file": table_file} if kind == "tabulated"
                            else {},
@@ -336,13 +351,14 @@ def test_engine_data_steering_matches_public_replay(table_file, kind, c1, phase_
     engine = experiments._TrialEngine(cfg)
     scenario = cfg.scenario_at(cfg.points[0])
     seen = []
+    synthesize = experiments._synthesize
 
-    def recording(*args, steering, **kwargs):
-        seen.append(steering)
-        return generate_snapshots(*args, steering=steering, **kwargs)
+    def recording(steering, *args):
+        seen.extend(np.reshape(steering, (-1, *steering.shape[-2:])))
+        return synthesize(steering, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "generate_snapshots", recording)
+        mp.setattr(experiments, "_synthesize", recording)
         next(engine.noise(0, [trial]))
     replay = _replay_data_manifold(cfg, _trial_streams(cfg, 0, trial)[0])
     assert len(seen) == 1
@@ -388,12 +404,56 @@ def test_stream_states_reject_indices_past_one_word():
 
 
 def test_run_point_errors_do_not_depend_on_seed_chunks(monkeypatch):
-    # trials are seeded in chunks; the chunk size must not show in the errors
-    cfg = _coupled_sweep(trials=5)
-    errs, fills = run_point(cfg, 1)
-    monkeypatch.setattr(experiments, "_SEED_CHUNK", 2)
-    chunked_errs, chunked_fills = run_point(cfg, 1)
-    assert np.array_equal(chunked_errs, errs) and np.array_equal(chunked_fills, fills)
+    # trials run in stacked chunks; neither the chunk size nor a trial's place
+    # in its chunk may show in the errors: one chunk of the whole point, the
+    # default chunks, chunks of 2 and chunks of one trial agree bit for bit,
+    # for both estimators, nominal or perturbed
+    sizes = []
+
+    def run(cfg, chunk):
+        monkeypatch.setattr(experiments, "_SEED_CHUNK", chunk)
+        engine = experiments._TrialEngine(cfg)
+        noise = engine.noise
+
+        def recording(*args):
+            for ens in noise(*args):
+                sizes.append(len(ens))
+                yield ens
+
+        engine.noise = recording
+        sizes.clear()
+        return run_point(cfg, 1, engine=engine)
+
+    for estimator, perturbed in itertools.product(ESTIMATORS, [False, True]):
+        cfg = _coupled_sweep(trials=5, estimator=estimator,
+                             phase_noise_std_deg=5.0 if perturbed else 0.0,
+                             param_tolerance=0.05 if perturbed else 0.0)
+        errs, fills = run(cfg, cfg.trials)
+        assert sizes == [cfg.trials]
+        for chunk, expected in [(256, [5]), (2, [2, 2, 1]), (1, [1] * 5)]:
+            chunked_errs, chunked_fills = run(cfg, chunk)
+            assert sizes == expected
+            assert np.array_equal(chunked_errs, errs)
+            assert np.array_equal(chunked_fills, fills)
+
+
+@pytest.mark.parametrize("cfg", [
+    _coupled_sweep(trials=6),
+    _coupled_sweep(trials=6, geometry="mra8", estimator="coarray-music",
+                   angles=(-20.0, -7.0, 5.0, 16.0), fov_deg=45.0),
+    _coupled_sweep(trials=6, geometry="ula4", pattern="vivaldi", angles=(-12.0, 0.0, 12.0)),
+], ids=["perturbed", "coarray", "one-column"])
+def test_engine_spectra_pass_public_checks(cfg):
+    # the search builds its spectra without the constructor's checks; every
+    # one it gives a sweep, compact or full scan, must pass them
+    engine = experiments._TrialEngine(cfg)
+    l = cfg.source_count
+    for index in range(len(cfg.points)):
+        for ens in engine.noise(index, range(cfg.trials)):
+            for spectrum in engine.search.spectra(ens, l):
+                checked = Pseudospectrum(spectrum.grid, spectrum.values)
+                assert np.array_equal(checked.grid, spectrum.grid)
+                assert np.array_equal(checked.values, spectrum.values)
 
 
 @settings(max_examples=60, deadline=None)
@@ -426,7 +486,7 @@ def test_engine_pruned_search_matches_full_scan(table_file, geometry, kind, esti
         assume(False)
     engine = experiments._TrialEngine(cfg)
     l = len(angles)
-    for en in engine.noise(0, range(cfg.trials)):
+    for en in _trial_noise(engine, 0, range(cfg.trials)):
         full = Pseudospectrum(engine.grid, _spectrum(en, engine.steering))
         pruned = engine.search.spectrum(en, l)
         assert pick_peaks(pruned, l, fov) == pick_peaks(full, l, fov)

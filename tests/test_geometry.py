@@ -74,7 +74,9 @@ def test_mra_catalog_matches_exhaustive_search(n):
 @pytest.mark.parametrize("bad", [(), (0,), (0, 0, 1), (0, 2, 1), (1, 2, 3),
                                  (0, -1, 2), (0, 1.5, 3),
                                  # past 2**53, where floats stop holding every integer
-                                 (0, 1, 2**53 + 1), (0, 1, 10**400)])
+                                 (0, 1, 2**53 + 1), (0, 1, 10**400),
+                                 # int() of these raises its own errors
+                                 (0, 1, float("inf")), (0, 1, float("nan"))])
 def test_invalid_positions_rejected(bad):
     with pytest.raises(GeometryError):
         ArrayGeometry(bad)
