@@ -252,24 +252,33 @@ def virtual_steering(aperture: int, azimuth_deg) -> np.ndarray:
     unitary basis coarray_music works in. With d = M/2 - k for
     k < (M+1)//2, the rows are sqrt(2)*cos(pi*d*sin(phi)), then a row of
     ones when M is even, then sqrt(2)*sin(pi*d*sin(phi)); shape (M+1, K).
+    The phases, and then the cosines and sines, are written straight into
+    the one table.
     """
     az = np.atleast_1d(np.asarray(azimuth_deg, dtype=float))
-    d = aperture / 2.0 - np.arange((aperture + 1) // 2)
-    phase = np.pi * d[:, None] * np.sin(np.deg2rad(az))[None, :]
-    rows = [np.sqrt(2.0) * np.cos(phase)]
+    half = (aperture + 1) // 2
+    d = aperture / 2.0 - np.arange(half)
+    table = np.empty((aperture + 1, az.size))
+    sines = table[aperture + 1 - half:]
+    np.multiply(np.pi * d[:, None], np.sin(np.deg2rad(az)), out=sines)
+    np.cos(sines, out=table[:half])
+    np.sin(sines, out=sines)
+    table *= np.sqrt(2.0)
     if aperture % 2 == 0:
-        rows.append(np.ones((1, az.size)))
-    rows.append(np.sqrt(2.0) * np.sin(phase))
-    return np.concatenate(rows)
+        table[half] = 1.0
+    return table
 
 
 def _coarray_noise(rss: np.ndarray, source_count: int) -> np.ndarray:
-    """The real noise subspace of smoothed covariance rss in the unitary
-    basis, without checks on rss and source_count."""
-    q = _unitary_basis(rss.shape[0])
+    """The real noise subspaces of a stack (B, M+1, M+1) of smoothed
+    covariances in the unitary basis, (B, M+1, M+1-L), without checks on rss
+    and source_count: one basis change, one symmetrization and one eigh for
+    the stack, each subspace bit for bit that of its covariance alone."""
+    size = rss.shape[-1]
+    q = _unitary_basis(size)
     x = (q.conj().T @ rss @ q).real
     # symmetric only to rounding, and eigh reads one triangle
-    return np.linalg.eigh((x + x.T) / 2.0)[1][:, :x.shape[0] - source_count]
+    return np.linalg.eigh((x + np.swapaxes(x, -1, -2)) / 2.0)[1][..., :size - source_count]
 
 
 def coarray_music(r: np.ndarray, geometry: ArrayGeometry, source_count: int,
@@ -288,7 +297,8 @@ def coarray_music(r: np.ndarray, geometry: ArrayGeometry, source_count: int,
         raise RankError(f"coarray supports 1..{m} sources for {geometry.name!r}, "
                         f"got {source_count}")
     # the check keeps an overflowing R_ss a ValueError rather than a failed eigh
-    en = _coarray_noise(_check_hermitian(coarray_covariance(r, geometry)), source_count)
+    en = _coarray_noise(_check_hermitian(coarray_covariance(r, geometry))[None],
+                        source_count)[0]
     if grid is None:
         grid = azimuth_grid()
     return Pseudospectrum(grid, _spectrum(en, virtual_steering(m, grid)))

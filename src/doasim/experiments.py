@@ -437,9 +437,8 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 # trials per _stream_states call, so that seeding memory does not grow with
 # the trial count
 _SEED_CHUNK = 256
-# bytes that one stacked array of a chunk of trials may take, at 16 bytes an
-# entry; 2**16 complex entries keep a sweep's peak memory within about 1 MB
-# of running its trials one at a time
+# bytes that one stacked array of a chunk of trials may take, which keeps a
+# sweep's peak memory within about 1 MB of running its trials one at a time
 _CHUNK_BYTES = 2**20
 
 
@@ -589,13 +588,15 @@ class _TrialEngine:
     def _chunk(self, sources: int) -> int:
         """Trials per chunk: at most _SEED_CHUNK, and few enough that no
         stacked array of the chunk passes _CHUNK_BYTES. Per trial, the draws
-        and snapshots take at most max(L, N) * T complex entries, the
-        search's bound product at most rows * (blocks + 2)."""
+        and snapshots take max(L, N) * T entries of 16 bytes (a complex
+        number, or a real and an imaginary draw), and the search's bound
+        product (rows - L) * (blocks + 2) entries of the steering table's
+        itemsize, 8 bytes for the real coarray table."""
         rows, columns = self.steering.shape
         refs = -(-columns // _SCAN_BLOCK) + 2
-        entries = max(max(sources, self.geometry.element_count) * self.cfg.snapshots,
-                      rows * refs)
-        return max(1, min(_SEED_CHUNK, _CHUNK_BYTES // (16 * entries)))
+        per_trial = max(16 * max(sources, self.geometry.element_count) * self.cfg.snapshots,
+                        self.steering.itemsize * (rows - sources) * refs)
+        return max(1, min(_SEED_CHUNK, _CHUNK_BYTES // per_trial))
 
     def noise(self, index: int, trials) -> Iterator[np.ndarray]:
         """The noise subspaces of the trials in the sequence `trials` of sweep
@@ -608,12 +609,13 @@ class _TrialEngine:
         draws every element deviation of a perturbed config, and each
         trial's snapshot stream fills its slices of the source and noise
         draws; every stream loads the one shared generator. Mixing,
-        covariance and element-music's eigh then run once on the stack,
-        each trial bit for bit as alone; coarray lag smoothing runs per
-        trial, as a stacked mean rounds differently. The kernels skip the
-        public functions' checks: the config validated the source count,
-        geometry and estimator, and sample_covariance is exactly Hermitian,
-        so element-music runs a bare eigh.
+        covariance and the eigen-kernel (element-music's eigh, or
+        coarray-music's _coarray_noise) then run once on the stack, each
+        trial bit for bit as alone; coarray lag smoothing runs per trial, as
+        a stacked mean rounds differently. The kernels skip the public
+        functions' checks: the config validated the source count, geometry
+        and estimator, and sample_covariance is exactly Hermitian, so
+        element-music runs a bare eigh.
         """
         cfg = self.cfg
         scenario = cfg.scenario_at(cfg.points[index])
@@ -640,8 +642,8 @@ class _TrialEngine:
             x = _synthesize(steering, scenario.per_source_snr_db, sr, nr)
             r = sample_covariance(x)
             if cfg.estimator == "coarray-music":
-                yield np.stack([_coarray_noise(_lag_smoothing(ri, self.geometry), l)
-                                for ri in r])
+                yield _coarray_noise(np.stack([_lag_smoothing(ri, self.geometry)
+                                               for ri in r]), l)
             else:
                 yield np.linalg.eigh(r)[1][..., :n - l]
 

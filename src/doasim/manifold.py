@@ -194,11 +194,22 @@ def _synthesize(steering: np.ndarray, snr_db, sr: np.ndarray, nr: np.ndarray) ->
     the per-source SNRs snr_db; nr (..., 2, N, T) those of the unit-power
     noise. A is N x L or a matching stack (..., N, L). Every entry of a
     stack is computed with exactly the arithmetic of its trial alone.
+
+    The sources are filled, and the noise added, through the real and
+    imaginary views of one complex array each, with no complex temporary.
+    The values are those of amp * (re + 1j*im) / sqrt(2): numpy divides a
+    complex number by a real one as a multiply by its reciprocal.
     """
-    amp = 10.0 ** (np.asarray(snr_db) / 20.0)
-    s = amp[:, None] * (sr[..., 0, :, :] + 1j * sr[..., 1, :, :]) / np.sqrt(2.0)
-    noise = (nr[..., 0, :, :] + 1j * nr[..., 1, :, :]) / np.sqrt(2.0)
-    return steering @ s + noise
+    scale = 1.0 / np.sqrt(2.0)
+    amp = 10.0 ** (np.asarray(snr_db) / 20.0)[:, None]
+    s = np.empty(sr.shape[:-3] + sr.shape[-2:], dtype=complex)
+    for part, draw in ((s.real, sr[..., 0, :, :]), (s.imag, sr[..., 1, :, :])):
+        np.multiply(amp, draw, out=part)
+        part *= scale
+    x = steering @ s
+    for part, draw in ((x.real, nr[..., 0, :, :]), (x.imag, nr[..., 1, :, :])):
+        part += draw * scale
+    return x
 
 
 def sample_covariance(snapshots) -> np.ndarray:

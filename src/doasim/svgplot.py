@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -33,6 +32,12 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
         t += step
     return ticks
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for XML character data, as xml.sax.saxutils.escape
+    does, without importing it: that pulls in urllib, http and email."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:

@@ -120,3 +120,26 @@ def evaluated_values_equal(pruned, full) -> bool:
     whole = np.bincount(blocks)[blocks] == block
     return bool(whole[1:-1].all()) and np.array_equal(pruned.values[whole],
                                                       full.values[idx[whole]])
+
+
+def complex_synthesize(steering, snr_db, sr, nr) -> np.ndarray:
+    """x = A s + n in complex arithmetic, as the snapshot synthesis first
+    computed it: the bit-for-bit reference of the in-place kernel."""
+    amp = 10.0 ** (np.asarray(snr_db) / 20.0)
+    s = amp[:, None] * (sr[..., 0, :, :] + 1j * sr[..., 1, :, :]) / np.sqrt(2.0)
+    noise = (nr[..., 0, :, :] + 1j * nr[..., 1, :, :]) / np.sqrt(2.0)
+    return steering @ s + noise
+
+
+def concatenated_virtual_steering(aperture: int, azimuth_deg) -> np.ndarray:
+    """The real virtual-array steering table built row block by row block and
+    concatenated, as it was first computed: the bit-for-bit reference of the
+    in-place table."""
+    az = np.atleast_1d(np.asarray(azimuth_deg, dtype=float))
+    d = aperture / 2.0 - np.arange((aperture + 1) // 2)
+    phase = np.pi * d[:, None] * np.sin(np.deg2rad(az))[None, :]
+    rows = [np.sqrt(2.0) * np.cos(phase)]
+    if aperture % 2 == 0:
+        rows.append(np.ones((1, az.size)))
+    rows.append(np.sqrt(2.0) * np.sin(phase))
+    return np.concatenate(rows)

@@ -15,7 +15,8 @@ from doasim.manifold import (SourceScenario, generate_snapshots, make_manifold,
                              sample_covariance, steering_matrix, steering_vector)
 from doasim.patterns import make_isotropic, make_patch
 
-from oracles import evaluated_values_equal, loop_coarray_smoothed, naive_coarray_smoothed
+from oracles import (concatenated_virtual_steering, evaluated_values_equal,
+                     loop_coarray_smoothed, naive_coarray_smoothed)
 
 
 def _iso(geometry):
@@ -372,20 +373,39 @@ def test_virtual_steering_structure():
                            _centred_steering(aperture, az), atol=1e-12)
 
 
+@pytest.mark.parametrize("aperture", [1, 2, 3, 4, 5, 6, 7, 8, 23, 24])
+@pytest.mark.parametrize("size", [1, 2, 17, 18001])
+def test_virtual_steering_matches_concatenated_rows(aperture, size):
+    # the table is written in place; it must be the concatenation of its
+    # row blocks bit for bit, for odd and even apertures
+    az = np.linspace(-90.0, 90.0, size) if size > 1 else np.array([37.25])
+    got = virtual_steering(aperture, az)
+    want = concatenated_virtual_steering(aperture, az)
+    assert got.shape == want.shape == (aperture + 1, size)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name, sources", [("ula3", 1), ("mra4", 4), ("mra8", 10)])
 def test_coarray_noise_is_checked_eig_in_unitary_basis(name, sources):
     # coarray_music and the sweep engine share this kernel, so neither can
     # serve as the other's reference: pin it, bit for bit, to hermitian_eig
-    # of Re(Q^H R_ss Q)
+    # of Re(Q^H R_ss Q), and pin each slice of a stacked call to the call
+    # on its covariance alone
     geom = named_geometry(name)
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((geom.element_count, 64)) \
-        + 1j * rng.standard_normal((geom.element_count, 64))
-    rss = coarray_covariance(sample_covariance(x), geom)
+    rss = []
+    for _ in range(4):
+        x = rng.standard_normal((geom.element_count, 64)) \
+            + 1j * rng.standard_normal((geom.element_count, 64))
+        rss.append(coarray_covariance(sample_covariance(x), geom))
     q = _unitary_basis(geom.aperture + 1)
-    _, vecs = hermitian_eig((q.conj().T @ rss @ q).real)
-    assert np.array_equal(estimators._coarray_noise(rss, sources),
-                          vecs[:, :geom.aperture + 1 - sources])
+    _, vecs = hermitian_eig((q.conj().T @ rss[0] @ q).real)
+    alone = [estimators._coarray_noise(r[None], sources)[0] for r in rss]
+    assert np.array_equal(alone[0], vecs[:, :geom.aperture + 1 - sources])
+    stacked = estimators._coarray_noise(np.stack(rss), sources)
+    assert stacked.shape == (len(rss), geom.aperture + 1, geom.aperture + 1 - sources)
+    for got, want in zip(stacked, alone):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name, sources", [("ula3", 1), ("mra3", 2),

@@ -437,6 +437,57 @@ def test_run_point_errors_do_not_depend_on_seed_chunks(monkeypatch):
             assert np.array_equal(chunked_fills, fills)
 
 
+@pytest.mark.parametrize("chunk, shape", [
+    (28, dict(family="symmetric-pair-angle-sweep", geometry="mra8", pattern="vivaldi",
+              sweep=(0.4, 12.0), snapshots=50, fov_deg=30.0, trials=100)),
+    (6, dict(family="fixed-scenario", geometry="mra8", pattern="isotropic",
+             angles=experiments._OVERLOADED_ANGLES, snapshots=1024,
+             estimator="coarray-music", trials=100)),
+    (15, dict(family="snr-sweep", geometry="ula8", pattern="patch", coupling_c1=0.2,
+              phase_noise_std_deg=5.0, param_tolerance=0.05, sweep=(-20.0, 19.0),
+              angles=(-10.0, 10.0), snapshots=50, fov_deg=30.0, trials=15)),
+], ids=["element-fov30", "coarray-overloaded", "perturbed-many-points"])
+def test_chunks_of_benchmark_shapes_stay_under_the_byte_cap(monkeypatch, chunk, shape):
+    # the chunk size counts each stacked array at its real size: the draws
+    # and snapshots at 16 bytes an entry, the search's bound product at
+    # (rows - L) x (blocks + 2) entries of the steering table's itemsize.
+    # On the benchmark's three shapes a point runs in chunks of 28, 6 and
+    # 15 trials (the whole point), and no array the chunk stacks, nor the
+    # bound product, passes _CHUNK_BYTES
+    cfg = ExperimentConfig(**shape, grid_step_deg=0.01)
+    engine = experiments._TrialEngine(cfg)
+    sizes, stacked = [], []
+    synthesize, covariance = experiments._synthesize, experiments.sample_covariance
+
+    def recording_synthesize(steering, snr_db, sr, nr):
+        x = synthesize(steering, snr_db, sr, nr)
+        stacked.extend([steering, sr, nr, x])
+        return x
+
+    def recording_covariance(x):
+        stacked.append(covariance(x))
+        return stacked[-1]
+
+    monkeypatch.setattr(experiments, "_synthesize", recording_synthesize)
+    monkeypatch.setattr(experiments, "sample_covariance", recording_covariance)
+    noise = engine.noise
+    refs = engine.search._refs
+
+    def recording(*args):
+        for ens in noise(*args):
+            sizes.append(len(ens))
+            stacked.append(ens)
+            # E_n^H @ refs for the stack: (B, rows - L, refs)
+            product = len(ens) * ens.shape[-1] * refs.shape[1] * np.result_type(ens, refs).itemsize
+            assert product <= experiments._CHUNK_BYTES
+            yield ens
+
+    engine.noise = recording
+    run_point(cfg, 0, engine=engine)
+    assert sizes[0] == chunk and sum(sizes) == cfg.trials
+    assert max(a.nbytes for a in stacked) <= experiments._CHUNK_BYTES
+
+
 @pytest.mark.parametrize("cfg", [
     _coupled_sweep(trials=6),
     _coupled_sweep(trials=6, geometry="mra8", estimator="coarray-music",

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from doasim.geometry import make_mra, make_ula
-from doasim.manifold import (ArrayManifold, SourceScenario, apply_coupling_model,
-                             generate_snapshots, make_manifold, sample_covariance,
-                             steering_matrix, steering_vector)
+from doasim.manifold import (ArrayManifold, SourceScenario, _synthesize,
+                             apply_coupling_model, generate_snapshots, make_manifold,
+                             sample_covariance, steering_matrix, steering_vector)
 from doasim.patterns import make_dipole_ref, make_isotropic, make_patch
+
+from oracles import complex_synthesize
 
 
 def _iso(geometry):
@@ -148,6 +150,28 @@ def test_snapshots_with_precomputed_steering():
     assert np.array_equal(other.data, noise_only.data)
     with pytest.raises(ValueError, match="steering shape"):
         generate_snapshots(m, sc, 40, 77, steering=np.zeros((4, 3), dtype=complex))
+
+
+@pytest.mark.parametrize("stack, n, l, t", [((), 8, 2, 50), ((), 4, 6, 1), ((), 3, 1, 1),
+                                             ((5,), 8, 2, 50), ((3,), 8, 10, 1024),
+                                             ((2, 2), 4, 6, 1)])
+@pytest.mark.parametrize("stacked_steering", [False, True])
+def test_synthesize_matches_complex_arithmetic(stack, n, l, t, stacked_steering):
+    # the in-place kernel fills real and imaginary parts separately; its
+    # snapshots must be those of the complex arithmetic bit for bit, for one
+    # trial or a stack, with more sources than elements and a single
+    # snapshot, and it must leave its draws untouched
+    rng = np.random.default_rng(n * 1000 + l * 10 + t)
+    shape = (*stack, n, l) if stacked_steering else (n, l)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    snr = rng.uniform(-40.0, 40.0, l)
+    sr, nr = rng.standard_normal((*stack, 2, l, t)), rng.standard_normal((*stack, 2, n, t))
+    draws = sr.copy(), nr.copy()
+    got = _synthesize(a, snr, sr, nr)
+    want = complex_synthesize(a, snr, sr, nr)
+    assert got.shape == want.shape == (*stack, n, t) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(sr, draws[0]) and np.array_equal(nr, draws[1])
 
 
 def test_element_snr_convention():

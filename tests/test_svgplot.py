@@ -1,12 +1,17 @@
 import io
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
 
 from doasim.estimators import Pseudospectrum, azimuth_grid
 from doasim.experiments import SweepResult
-from doasim.svgplot import render_plot
+from doasim.svgplot import escape, render_plot
 
 
 def _result(params, rmses) -> SweepResult:
@@ -93,3 +98,22 @@ def test_label_escaping():
     text = _render({"a<b & c": res})
     assert "a&lt;b &amp; c" in text
     ET.fromstring(text)
+
+
+def test_escape_matches_saxutils():
+    for text in ("", "plain", "a<b & c>d", "&amp; &lt;&gt;", "\"quoted\" and 'single'",
+                 "<<&&>>"):
+        assert escape(text) == sax_escape(text)
+
+
+def test_cold_start_loads_no_network_modules():
+    # importing the package and parsing a config is the set-up of every CLI
+    # call; it must not pull in the standard library's network stack
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys; import doasim; from doasim.config import parse_config; "
+            f"parse_config({str(root / 'configs' / 'angle_sweep.conf')!r}); "
+            "print(' '.join(m for m in ('urllib.request', 'http.client', 'email', "
+            "'ssl', 'socket') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")}, check=True)
+    assert out.stdout.strip() == ""
