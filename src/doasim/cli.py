@@ -48,11 +48,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_demo(args) -> int:
     cfg = parse_config(args.config)
+    # runs the demo, which checks the family, before anything is written
+    spectrum, estimates = run_overloaded_demo(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.config).stem
-
-    spectrum, estimates = run_overloaded_demo(cfg)
     meta = f"fingerprint={cfg.fingerprint()} seed={cfg.seed}"
 
     spec_path = out / f"{stem}_spectrum.csv"

@@ -31,6 +31,9 @@ _EPS = float(np.finfo(float).eps)
 # widths dividing 16. A partial block at the end of the grid need not keep
 # it (see _PeakSearch); a +-fov window that reaches it is the whole grid.
 _SCAN_BLOCK = 16
+# bytes that one stacked array of a chunk of trials may take, which keeps a
+# sweep's peak memory within about 1 MB of running its trials one at a time
+_CHUNK_BYTES = 2**20
 
 
 class RankError(ValueError):
@@ -134,16 +137,26 @@ class DoaEstimateSet:
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Squared norms of the columns of x, or of each matrix of a stack x."""
+    """Squared norms of the columns of x, or of each matrix of a stack x; a
+    complex x is overwritten."""
     if np.iscomplexobj(x):
-        # |z|^2 summed down the columns, without a conjugate copy; the same
-        # values as the einsum bit for bit
-        return np.add.reduce(np.square(x.real) + np.square(x.imag), axis=-2)
+        # |z|^2 summed down the columns: the real and imaginary parts squared
+        # in place, then added, with one temporary half the size of x; the
+        # same values as the einsum against the conjugate bit for bit
+        parts = x.view(float)
+        np.square(parts, out=parts)
+        return np.add.reduce(parts[..., ::2] + parts[..., 1::2], axis=-2)
     return np.einsum("...ij,...ij->...j", x, x)
 
 
+def _denominators(noise_vecs: np.ndarray, steering: np.ndarray) -> np.ndarray:
+    """||E_n^H a||^2 at every column a of steering, for E_n or for each E_n
+    of a stack, each one bit for bit as if alone."""
+    return _sq_norms(np.swapaxes(noise_vecs.conj(), -1, -2) @ steering)
+
+
 def _spectrum(noise_vecs: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    return 1.0 / np.maximum(_sq_norms(noise_vecs.conj().T @ steering), _DENOM_FLOOR)
+    return 1.0 / np.maximum(_denominators(noise_vecs, steering), _DENOM_FLOOR)
 
 
 def music_pseudospectrum(r: np.ndarray, manifold: ArrayManifold, source_count: int,
@@ -320,14 +333,24 @@ def _refine(grid: np.ndarray, vals: np.ndarray, idx: int) -> float:
     return g0 + delta * (gp - g0 if delta >= 0 else g0 - gm)
 
 
+def _maxima(w: np.ndarray) -> np.ndarray:
+    """Mask of the strict local maxima along the last axis of w, each end
+    judged against its one neighbour: of a window, or of each window of a
+    stack."""
+    mask = np.zeros(w.shape, dtype=bool)
+    if w.shape[-1] >= 2:
+        np.greater(w[..., :-1], w[..., 1:], out=mask[..., :-1])
+        mask[..., -1] = True
+        mask[..., 1:] &= w[..., 1:] > w[..., :-1]
+    return mask
+
+
 def _strict_maxima(w: np.ndarray) -> np.ndarray:
     """Strict local maxima of window values w: interior maxima ascending, then
-    the window start, then the window end, each end judged against its one
-    neighbour."""
-    interior = np.flatnonzero((w[1:-1] > w[:-2]) & (w[1:-1] > w[2:])) + 1
-    ends = [i for i, other in ((0, 1), (w.size - 1, w.size - 2))
-            if w.size >= 2 and w[i] > w[other]]
-    return np.concatenate((interior, np.array(ends, dtype=np.intp)))
+    the window start, then the window end."""
+    mask = _maxima(w)
+    ends = [i for i in (0, w.size - 1) if mask[i]]
+    return np.concatenate((np.flatnonzero(mask[1:-1]) + 1, np.array(ends, dtype=np.intp)))
 
 
 def pick_peaks(spectrum: Pseudospectrum, count: int,
@@ -388,7 +411,8 @@ class _PeakSearch:
     slices; the last may be partial. spectrum(en, count) is a Pseudospectrum
     on which pick_peaks(., count, fov) gives what it gives on the full scan
     Pseudospectrum(grid, _spectrum(en, steering)), bit for bit; spectra(ens,
-    count) gives it for every E_n of a stack, from one bound product:
+    count) gives it for every E_n of a stack, one search for the stack, and
+    spectrum(en, count) is spectra of a stack of one:
 
     - Bound. E_n has orthonormal columns, so for columns i and c,
       ||E_n^H a_i|| >= ||E_n^H a_c|| - ||a_i - a_c||. Block b keeps its
@@ -411,32 +435,39 @@ class _PeakSearch:
       product computes it. Squaring, the floor and the reciprocal are
       monotone when rounded, so UB_b bounds every computed value too. A is
       taken as max_b ||a_c_b|| + r_b, which is at least max_i ||a_i||.
-    - Search. The count-th largest local maximum of the spectrum at the
-      reference columns, lowered by 1e-6 relative, is a first threshold.
-      Window blocks whose bound reaches it are picked; they and both
-      neighbours of each are evaluated in one product over their columns
-      in ascending order, so every column takes the path it takes in the
-      full scan. That holds for whole blocks only: BLAS computes a
+    - Search. For every E_n of the stack at once, the count-th largest
+      strict maximum of the spectrum at the reference columns of the window
+      blocks, lowered by 1e-6 relative, is a first threshold, and the
+      window blocks whose bound reaches it are that E_n's picks; its kept
+      blocks are its picks and both neighbours of each. The union of the
+      kept blocks over the stack is evaluated for every E_n in one stacked
+      product over its columns in ascending order, run in groups of rows
+      under a byte cap, so every column takes the path it takes in the full
+      scan. That holds for whole blocks only: BLAS computes a
       product's last (n mod kernel width) columns on a path that may also
       depend on the product's size (OpenBLAS's real small-matrix kernel
       does), so a partial last block is left to the full scan.
-    - Compact spectrum. The evaluated columns, and the first and last
-      column of the table where they do not reach them, with values from
-      the coarse product, which also takes those two columns. It spans the
-      full scan's grid, so pick_peaks accepts the same fov.
-    - Certificate. Let rest be the largest UB_b of the window blocks not
-      picked. A window value above rest lies in a picked block, whose
-      columns have their grid neighbours next to them in the compact
-      spectrum, so it is a strict maximum there exactly when it is one in
-      the full scan, by the same rule. Every other value of the compact
-      window is at most rest. If at least count strict maxima of the
-      compact window exceed rest, pick_peaks on it therefore picks the
+    - Compact spectrum. The union's columns, and the first and last column
+      of the table where they do not reach them, with values from the
+      coarse product, which also takes those two columns. It spans the full
+      scan's grid, so pick_peaks accepts the same fov.
+    - Certificate. For each E_n, let rest be the largest UB_b of the window
+      blocks it did not pick. A window value above rest lies in a block it
+      picked, whose columns have their grid neighbours next to them in the
+      compact spectrum, so it is a strict maximum there exactly when it is
+      one in the full scan, by the same rule. Every other value of the
+      compact window, in its own kept blocks or in blocks the union holds
+      for other E_n, is at most rest. If at least count strict maxima of
+      the compact window exceed rest, pick_peaks on it therefore picks the
       full scan's peaks in the same order, and refines them from the same
-      neighbours.
-    - Otherwise the picked set doubles in bound order. The full scan is
-      returned when the coarse pass shows fewer than count maxima (filling
-      reads every value), when more than half the window's blocks or a
-      partial last block would be evaluated, or when E_n has one column.
+      neighbours. The certificate runs for the whole stack as one array
+      operation.
+    - Otherwise that E_n's picks double in bound order, and the E_n that
+      did not certify take a further stacked round on the union of their
+      new kept blocks. An E_n takes the full scan when the coarse pass shows
+      fewer than count maxima (filling reads every value), when its kept
+      blocks pass half the window's blocks or reach a partial last block,
+      or when E_n has one column.
     """
 
     def __init__(self, grid: np.ndarray, steering: np.ndarray, fov_deg: float):
@@ -444,7 +475,6 @@ class _PeakSearch:
         rows, size = steering.shape
         full = size - size % _SCAN_BLOCK
         self._columns = np.arange(full).reshape(-1, _SCAN_BLOCK)
-        self._partial = full // _SCAN_BLOCK if full < size else None
         parts = [(0, steering[:, :full].reshape(rows, -1, _SCAN_BLOCK))]
         if full < size:
             parts.append((full, steering[:, None, full:]))
@@ -460,7 +490,7 @@ class _PeakSearch:
         radius = np.sqrt(np.concatenate(radius))
         self._ends = np.array([0, size - 1])
         self._refs = np.ascontiguousarray(steering[:, np.concatenate(refs + [self._ends])])
-        norm = float(np.max(np.sqrt(_sq_norms(self._refs[:, :-2])) + radius))
+        norm = float(np.max(np.sqrt(_sq_norms(self._refs[:, :-2].copy())) + radius))
         slack = max(1e-12, 4.0 * rows ** 1.5 * np.finfo(float).eps) * norm
         self._shift = radius * (1.0 - 1e-9) + slack
         window = fov_window(grid, fov_deg)
@@ -471,7 +501,7 @@ class _PeakSearch:
         """(denominator at the reference columns and at the table's first
         and last column, UB_b for every block), of E_n or of each E_n of a
         stack, every one bit for bit as if alone."""
-        denom = _sq_norms(np.swapaxes(en.conj(), -1, -2) @ self._refs)
+        denom = _denominators(en, self._refs)
         ub = np.sqrt(denom[..., :-2])
         ub *= 1.0 - 1e-9
         ub -= self._shift
@@ -487,51 +517,67 @@ class _PeakSearch:
         """spectrum(en, count) of every E_n of the stack ens, in order."""
         # a one-column E_n takes BLAS's matrix-vector path, whose rounding
         # of a column depends on where it sits, so it scans the whole table
-        coarse = zip(*self._bounds(ens)) if ens.shape[-1] > 1 else [None] * len(ens)
-        for en, bounds in zip(ens, coarse):
-            compact = None if bounds is None else self._search(en, count, *bounds)
+        found = self._search(ens, count) if ens.shape[-1] > 1 else [None] * len(ens)
+        for en, compact in zip(ens, found):
             yield Pseudospectrum._trusted(self.grid, _spectrum(en, self.steering)) \
                 if compact is None else compact
 
-    def _search(self, en: np.ndarray, count: int, denom: np.ndarray,
-                bound: np.ndarray) -> Pseudospectrum | None:
-        """The certified compact spectrum from E_n's _bounds, or None when the
-        full table must be scanned."""
-        ends = 1.0 / np.maximum(denom[-2:], _DENOM_FLOOR)
+    def _search(self, ens: np.ndarray, count: int) -> list[Pseudospectrum | None]:
+        """The certified compact spectrum of each E_n of the stack ens, or
+        None where the full table must be scanned."""
+        found: list[Pseudospectrum | None] = [None] * len(ens)
+        denom, bound = self._bounds(ens)
         blocks = self._blocks
         # spectrum maxima at the reference columns are denominator minima
-        dips = -denom[blocks]
-        dips = dips[_strict_maxima(dips)]
-        if dips.size < count:
-            return None
-        window_bound = bound[blocks]
-        first = dips.size - count
-        peak = 1.0 / max(-float(np.partition(dips, first)[first]), _DENOM_FLOOR)
-        picked = window_bound >= peak * (1.0 - 1e-6)
-        order = None
-        while True:
-            keep = np.zeros(bound.size + 2, dtype=bool)
-            keep[blocks.start + 1:blocks.stop + 1] = picked
-            kept = np.flatnonzero(keep[:-2] | keep[1:-1] | keep[2:])
-            if 2 * kept.size > window_bound.size or kept[-1] == self._partial:
-                return None
-            compact = self._compact(en, kept, ends)
-            w = compact.values[fov_window(compact.grid, self.fov)]
-            rest = float(np.max(window_bound, where=~picked, initial=0.0))
-            if np.count_nonzero(w[_strict_maxima(w)] > rest) >= count:
-                return compact
-            if order is None:
-                order = np.argsort(-window_bound, kind="stable")
-            picked[order[:2 * np.count_nonzero(picked)]] = True
+        dips = -denom[:, blocks]
+        maxima = _maxima(dips)
+        rows = np.flatnonzero(np.count_nonzero(maxima, axis=1) >= count)
+        if not rows.size:
+            return found
+        np.copyto(dips, -np.inf, where=~maxima)
+        # each row's count-th largest maximum
+        peak = 1.0 / np.maximum(-np.sort(dips[rows], axis=1)[:, -count], _DENOM_FLOOR)
+        window_bound = bound[:, blocks]
+        picked = np.zeros(window_bound.shape, dtype=bool)
+        picked[rows] = window_bound[rows] >= (peak * (1.0 - 1e-6))[:, None]
+        ends = 1.0 / np.maximum(denom[:, -2:], _DENOM_FLOOR)
+        while rows.size:
+            keep = np.zeros((rows.size, bound.shape[1] + 2), dtype=bool)
+            keep[:, blocks.start + 1:blocks.stop + 1] = picked[rows]
+            kept = keep[:, :-2] | keep[:, 1:-1] | keep[:, 2:]
+            fits = ((2 * np.count_nonzero(kept, axis=1) <= picked.shape[1])
+                    & ~kept[:, self._columns.shape[0]:].any(axis=1))
+            rows, kept = rows[fits], kept[fits]
+            if not rows.size:
+                break
+            grid, values = self._compact(ens[rows], np.flatnonzero(kept.any(axis=0)), ends[rows])
+            w = values[:, fov_window(grid, self.fov)]
+            rest = np.max(window_bound[rows], axis=1, where=~picked[rows], initial=0.0)
+            done = np.count_nonzero(_maxima(w) & (w > rest[:, None]), axis=1) >= count
+            for i in np.flatnonzero(done):
+                found[rows[i]] = Pseudospectrum._trusted(grid, values[i])
+            rows = rows[~done]
+            # the rank of each block in bound order, by row
+            rank = np.argsort(np.argsort(-window_bound[rows], axis=1, kind="stable"), axis=1)
+            picked[rows] |= rank < 2 * np.count_nonzero(picked[rows], axis=1)[:, None]
+        return found
 
-    def _compact(self, en: np.ndarray, kept: np.ndarray,
-                 ends: np.ndarray) -> Pseudospectrum:
-        """The spectrum at the columns of the `kept` blocks, between the
-        table's first and last column with their values `ends`."""
+    def _compact(self, ens: np.ndarray, kept: np.ndarray,
+                 ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(grid, values): the spectra of the stack ens, one row of values
+        each, at the columns of the `kept` blocks, between the table's first
+        and last column with their values `ends`."""
         cols = self._columns[kept].ravel()
-        v = _spectrum(en, np.take(self.steering, cols, axis=1))
-        # ends[i:1] and ends[1:j] are empty where a kept block holds that end
-        i, j = int(cols[0] == 0), 2 - int(cols[-1] == self.grid.size - 1)
-        cols = np.concatenate((self._ends[i:1], cols, self._ends[1:j]))
-        return Pseudospectrum._trusted(self.grid[cols],
-                                       np.concatenate((ends[i:1], v, ends[1:j])))
+        table = np.take(self.steering, cols, axis=1)
+        # ends[:, :0] and ends[:, 2:] are empty where a kept block holds that end
+        lo, hi = int(cols[0] > 0), int(cols[-1] < self.grid.size - 1)
+        values = np.empty((len(ens), lo + cols.size + hi))
+        values[:, :lo], values[:, lo + cols.size:] = ends[:, :lo], ends[:, 2 - hi:]
+        # groups of rows whose product takes at most half of _CHUNK_BYTES, as
+        # its complex temporary, the gathered columns and the values of the
+        # whole stack are held beside it
+        row_bytes = ens.shape[-1] * cols.size * np.result_type(ens, table).itemsize
+        step = max(1, _CHUNK_BYTES // 2 // row_bytes)
+        for i in range(0, len(ens), step):
+            values[i:i + step, lo:lo + cols.size] = _spectrum(ens[i:i + step], table)
+        return self.grid[np.concatenate((self._ends[:lo], cols, self._ends[2 - hi:]))], values

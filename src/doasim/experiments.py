@@ -27,9 +27,9 @@ import numpy as np
 # music_pseudospectrum, coarray_music, generate_snapshots and perturb are not
 # called here; they stay in this namespace for callers that look them up
 # through experiments, such as perfbench/tracing.py
-from .estimators import (_DENOM_FLOOR, _SCAN_BLOCK, DoaEstimateSet, Pseudospectrum,
-                         _coarray_noise, _lag_smoothing, _PeakSearch, _scan_slice,
-                         _spectrum, azimuth_grid, coarray_music, fov_window,
+from .estimators import (_CHUNK_BYTES, _DENOM_FLOOR, _SCAN_BLOCK, DoaEstimateSet,
+                         Pseudospectrum, _coarray_noise, _lag_smoothing, _PeakSearch,
+                         _scan_slice, _spectrum, azimuth_grid, coarray_music, fov_window,
                          music_pseudospectrum, pick_peaks, virtual_steering)
 from .geometry import ArrayGeometry, GeometryError, is_perfect, named_geometry
 from .manifold import (SourceScenario, _synthesize, apply_coupling_model,
@@ -437,9 +437,6 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 # trials per _stream_states call, so that seeding memory does not grow with
 # the trial count
 _SEED_CHUNK = 256
-# bytes that one stacked array of a chunk of trials may take, which keeps a
-# sweep's peak memory within about 1 MB of running its trials one at a time
-_CHUNK_BYTES = 2**20
 
 
 @functools.cache
@@ -591,7 +588,11 @@ class _TrialEngine:
         and snapshots take max(L, N) * T entries of 16 bytes (a complex
         number, or a real and an imaginary draw), and the search's bound
         product (rows - L) * (blocks + 2) entries of the steering table's
-        itemsize, 8 bytes for the real coarray table."""
+        itemsize, 8 bytes for the real coarray table; a complex product is
+        squared in place beside one temporary of half its size. The
+        search's union product is not counted here: it runs in groups of
+        rows that take at most half of _CHUNK_BYTES, whatever the union's
+        width (_PeakSearch._compact)."""
         rows, columns = self.steering.shape
         refs = -(-columns // _SCAN_BLOCK) + 2
         per_trial = max(16 * max(sources, self.geometry.element_count) * self.cfg.snapshots,
@@ -639,8 +640,9 @@ class _TrialEngine:
                 rng = self._load(snap)
                 rng.standard_normal(out=sr[i])
                 rng.standard_normal(out=nr[i])
-            x = _synthesize(steering, scenario.per_source_snr_db, sr, nr)
-            r = sample_covariance(x)
+            r = sample_covariance(_synthesize(steering, scenario.per_source_snr_db, sr, nr))
+            # the draws are not kept while the chunk's search runs
+            del sr, nr
             if cfg.estimator == "coarray-music":
                 yield _coarray_noise(np.stack([_lag_smoothing(ri, self.geometry)
                                                for ri in r]), l)
@@ -658,9 +660,10 @@ def run_point(config: ExperimentConfig, point_index: int, *,
     next(engine.noise(point_index, [t]))[0] and a full-scan pick, scored
     against config.scenario_at of the point. The trials run chunk by chunk
     through engine.noise and the engine's pruned search, which bounds a
-    chunk in one product; the point's estimates are scored in one array
-    operation. `engine` lets a sweep share one engine, built for the same
-    config, across its points.
+    chunk in one product and certifies it on the union of its trials' kept
+    blocks; each trial is picked by one pick_peaks call, and the point's
+    estimates are scored in one array operation. `engine` lets a sweep
+    share one engine, built for the same config, across its points.
     """
     points = config.points
     if not 0 <= point_index < len(points):

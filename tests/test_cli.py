@@ -241,7 +241,9 @@ def test_demo_spectrum_covers_fov_window(tmp_path, fov):
 def test_demo_on_sweep_config_exits_2(tmp_path):
     conf = tmp_path / "exp.conf"
     conf.write_text(SWEEP_CONF)
-    assert main(["demo", "--config", str(conf), "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["demo", "--config", str(conf), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_geometry_report(capsys):

@@ -666,3 +666,107 @@ def test_pruned_search_bound_holds_where_it_is_tight():
     vals = estimators._spectrum(en, table)
     block_max = np.maximum.reduceat(vals, np.arange(0, grid.size, 16))
     assert np.all(block_max <= bound)
+
+
+# ------------------------------------------------- pruned search of a chunk
+
+def _stacked_hand_search(grid, rows, fov):
+    # _hand_search for a chunk: row i of the table is 1 / sqrt(rows[i]) over
+    # a zero row, and the i-th noise subspace is (e_i, e_zero), so that its
+    # spectrum is exactly 1 / (1 / sqrt(rows[i]))**2. Every subspace shares
+    # the one table, as the trials of a sweep point do
+    b = len(rows)
+    table = np.vstack((1.0 / np.sqrt(np.asarray(rows)), np.zeros((1, grid.size))))
+    ens = np.stack([np.eye(b + 1)[:, [i, b]] for i in range(b)])
+    return estimators._PeakSearch(grid, table, fov), ens, table
+
+
+def _chunk_matches_full_scans(grid, rows, count, fov):
+    """Checks, row by row, that the spectra the search gives a chunk pick
+    what the full scans pick and hold their values; returns which rows took
+    the full scan."""
+    search, ens, table = _stacked_hand_search(grid, rows, fov)
+    spectra = list(search.spectra(ens, count))
+    assert len(spectra) == len(rows)
+    for spectrum, en in zip(spectra, ens):
+        full = Pseudospectrum(grid, estimators._spectrum(en, table))
+        assert pick_peaks(spectrum, count, fov) == pick_peaks(full, count, fov)
+        assert spectrum.grid[0] == grid[0] and spectrum.grid[-1] == grid[-1]
+        assert evaluated_values_equal(spectrum, full)
+    return [spectrum.grid.size == grid.size for spectrum in spectra]
+
+
+def _flat_topped(size, top, second, third):
+    """Bumps of height 105, 100 and 40, the highest with a flat top of three
+    equal values and so no strict maximum."""
+    vals = _bumps(size, [top, second]) + _bumps(size, [third], height=40.0) - 1.0
+    vals[top] += 5.0
+    vals[[top - 1, top + 1]] = vals[top]
+    return vals
+
+
+def _ripple(size, lo, hi, amplitude=1.0, period=19.0):
+    """1, with a sine ripple of a maximum in about every block over [lo, hi)."""
+    vals = np.ones(size)
+    vals[lo:hi] += amplitude * (1.0 + np.sin(2 * np.pi * np.arange(lo, hi) / period))
+    return vals
+
+
+def test_pruned_search_certifies_a_mixed_chunk(monkeypatch):
+    # one chunk on an 1801-column grid whose last block holds 9 columns:
+    # narrow peaks, a flat-topped bump whose picks must double, a monotone
+    # spectrum with one maximum, a peak on the partial last block, and a
+    # ripple over 40 blocks. The first round evaluates the union of three
+    # rows' kept blocks, more than half the window's 113, and certifies
+    # two; the flat-topped row alone takes a second round; the monotone row
+    # and the one peaking on the partial block take the full scan
+    grid = azimuth_grid(0.1)
+    size = grid.size
+    assert size % 16 == 9
+    rows = [_bumps(size, [300, 900], width=3.0, height=60.0),
+            _flat_topped(size, 200, 450, 700),
+            np.linspace(1.0, 2.0, size),
+            _bumps(size, [700, size - 1], width=5.0, height=1.0),
+            _ripple(size, 1760 - 16 * 40, 1760)]
+    rounds = _count_rounds(monkeypatch)
+    fallbacks = _chunk_matches_full_scans(grid, rows, 2, 90.0)
+    assert fallbacks == [False, False, True, True, False]
+    (ens, union, _), (again, _, _) = rounds
+    assert len(ens) == 3 and 2 * union.size > -(-size // 16)
+    assert len(again) == 1
+
+
+@st.composite
+def _chunk_row(draw, size):
+    """The spectrum of one trial of a chunk: bumps, a flat-topped bump that
+    needs doubling, a monotone spectrum, a peak on the table's last column,
+    or a ripple."""
+    kind = draw(st.sampled_from(["bumps", "flat top", "monotone", "last", "ripple"]))
+    spot = st.integers(2, size - 3)
+    if kind == "bumps":
+        centres = draw(st.lists(spot, min_size=1, max_size=4, unique=True))
+        return _bumps(size, centres, draw(st.floats(1.0, 40.0)), draw(st.floats(0.5, 300.0)))
+    if kind == "flat top":
+        return _flat_topped(size, *draw(st.lists(spot, min_size=3, max_size=3, unique=True)))
+    if kind == "monotone":
+        return np.linspace(1.0, 2.0, size)[::draw(st.sampled_from([1, -1]))]
+    if kind == "last":
+        return _bumps(size, [draw(spot), size - 1], draw(st.floats(1.0, 40.0)))
+    lo = draw(st.integers(0, size - 32))
+    return _ripple(size, lo, draw(st.integers(lo + 16, size)),
+                   draw(st.floats(0.1, 10.0)), draw(st.floats(5.0, 60.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), scan=st.sampled_from([(0.1, 90.0), (0.1, 45.0), (0.05, 30.0)]),
+       count=st.integers(1, 3), trials=st.integers(1, 6))
+def test_pruned_search_of_a_chunk_matches_full_scans(data, scan, count, trials):
+    # a chunk mixes rows that certify at once, rows whose picks double, rows
+    # that take the full scan (too few maxima, most blocks qualifying, a
+    # peak on the partial last block of the 1801-column grid at fov 90) and
+    # unions past half the window; every row's spectrum picks what its full
+    # scan picks
+    step, fov = scan
+    grid = _scan_grid(fov, step)
+    rows = [data.draw(_chunk_row(grid.size)) for _ in range(trials)]
+    _chunk_matches_full_scans(grid, rows, count, fov)

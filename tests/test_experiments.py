@@ -452,12 +452,25 @@ def test_chunks_of_benchmark_shapes_stay_under_the_byte_cap(monkeypatch, chunk, 
     # and snapshots at 16 bytes an entry, the search's bound product at
     # (rows - L) x (blocks + 2) entries of the steering table's itemsize.
     # On the benchmark's three shapes a point runs in chunks of 28, 6 and
-    # 15 trials (the whole point), and no array the chunk stacks, nor the
-    # bound product, passes _CHUNK_BYTES
+    # 15 trials (the whole point), and no array the chunk stacks, nor any
+    # product of the search, bound or union, passes _CHUNK_BYTES. Every
+    # point of the sweep runs, down to its lowest SNR or narrowest
+    # separation, where the union of a chunk's kept blocks is widest
     cfg = ExperimentConfig(**shape, grid_step_deg=0.01)
     engine = experiments._TrialEngine(cfg)
-    sizes, stacked = [], []
+    sizes, stacked, products, unions = [], [], [], []
     synthesize, covariance = experiments._synthesize, experiments.sample_covariance
+    sq_norms, compact = estimators._sq_norms, estimators._PeakSearch._compact
+
+    def recording_sq_norms(x):
+        # every product of the search; a complex one is squared in place,
+        # beside one temporary of half its size
+        products.append(x.nbytes)
+        return sq_norms(x)
+
+    def recording_compact(self, ens, kept, ends):
+        unions.append(kept.size)
+        return compact(self, ens, kept, ends)
 
     def recording_synthesize(steering, snr_db, sr, nr):
         x = synthesize(steering, snr_db, sr, nr)
@@ -470,6 +483,8 @@ def test_chunks_of_benchmark_shapes_stay_under_the_byte_cap(monkeypatch, chunk, 
 
     monkeypatch.setattr(experiments, "_synthesize", recording_synthesize)
     monkeypatch.setattr(experiments, "sample_covariance", recording_covariance)
+    monkeypatch.setattr(estimators, "_sq_norms", recording_sq_norms)
+    monkeypatch.setattr(estimators._PeakSearch, "_compact", recording_compact)
     noise = engine.noise
     refs = engine.search._refs
 
@@ -483,9 +498,43 @@ def test_chunks_of_benchmark_shapes_stay_under_the_byte_cap(monkeypatch, chunk, 
             yield ens
 
     engine.noise = recording
-    run_point(cfg, 0, engine=engine)
-    assert sizes[0] == chunk and sum(sizes) == cfg.trials
+    for index in range(len(cfg.points)):
+        sizes.clear()
+        run_point(cfg, index, engine=engine)
+        assert sizes[0] == chunk and sum(sizes) == cfg.trials
     assert max(a.nbytes for a in stacked) <= experiments._CHUNK_BYTES
+    assert unions and max(products) <= experiments._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("cfg", [
+    _coupled_sweep(trials=7, sweep=(-20.0, -6.0, 6.0)),
+    _coupled_sweep(trials=5, geometry="mra8", estimator="coarray-music",
+                   angles=(-20.0, -7.0, 5.0, 16.0), fov_deg=45.0),
+], ids=["perturbed", "coarray"])
+def test_sweep_picks_each_trial_once_through_experiments_pick_peaks(monkeypatch, cfg):
+    # a sweep picks every trial with one call of experiments.pick_peaks, the
+    # name the benchmark's corrupted-estimate check patches, on a spectrum
+    # whose picks are those of the trial's full scan
+    calls = []
+
+    def recording(spectrum, count, fov_deg):
+        calls.append((spectrum, count, fov_deg))
+        return pick_peaks(spectrum, count, fov_deg)
+
+    monkeypatch.setattr(experiments, "pick_peaks", recording)
+    run_sweep(cfg)
+    monkeypatch.undo()
+    engine = experiments._TrialEngine(cfg)
+    l = cfg.source_count
+    full = [Pseudospectrum(engine.grid, _spectrum(en, engine.steering))
+            for index in range(len(cfg.points))
+            for en in _trial_noise(engine, index, range(cfg.trials))]
+    assert len(calls) == len(full) == cfg.trials * len(cfg.points)
+    for (spectrum, count, fov), want in zip(calls, full):
+        assert type(spectrum) is Pseudospectrum and (count, fov) == (l, cfg.fov_deg)
+        assert pick_peaks(spectrum, l, fov) == pick_peaks(want, l, fov)
+    # the contract covers the certified compact spectra, not only full scans
+    assert any(spectrum.grid.size < engine.grid.size for spectrum, _, _ in calls)
 
 
 @pytest.mark.parametrize("cfg", [
