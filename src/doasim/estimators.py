@@ -9,7 +9,6 @@ nominal manifold a caller passes in; any mismatch lives in the data.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -408,11 +407,10 @@ class _PeakSearch:
 
     `grid` is azimuth_grid(step)[_scan_slice(azimuth_grid(step), fov)] and
     `steering` holds its columns. Its blocks are its aligned _SCAN_BLOCK-column
-    slices; the last may be partial. spectrum(en, count) is a Pseudospectrum
-    on which pick_peaks(., count, fov) gives what it gives on the full scan
-    Pseudospectrum(grid, _spectrum(en, steering)), bit for bit; spectra(ens,
-    count) gives it for every E_n of a stack, one search for the stack, and
-    spectrum(en, count) is spectra of a stack of one:
+    slices; the last may be partial. spectra(ens, count) gives, for every E_n
+    of the stack ens and in one search for the stack, a Pseudospectrum on
+    which pick_peaks(., count, fov) gives what it gives on the full scan
+    Pseudospectrum(grid, _spectrum(en, steering)), bit for bit:
 
     - Bound. E_n has orthonormal columns, so for columns i and c,
       ||E_n^H a_i|| >= ||E_n^H a_c|| - ||a_i - a_c||. Block b keeps its
@@ -497,6 +495,13 @@ class _PeakSearch:
         self._blocks = slice(window.start // _SCAN_BLOCK,
                              (window.stop - 1) // _SCAN_BLOCK + 1)
 
+    @staticmethod
+    def bound_bytes(table: np.ndarray, columns: int) -> int:
+        """Bytes of the bound product of one E_n of `columns` columns over a
+        table shaped and typed as `table`: E_n^H _refs, one reference column
+        per block and the table's first and last column."""
+        return table.itemsize * columns * (-(-table.shape[1] // _SCAN_BLOCK) + 2)
+
     def _bounds(self, en: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(denominator at the reference columns and at the table's first
         and last column, UB_b for every block), of E_n or of each E_n of a
@@ -510,17 +515,14 @@ class _PeakSearch:
         np.maximum(ub, _DENOM_FLOOR, out=ub)
         return denom, np.divide(1.0, ub, out=ub)
 
-    def spectrum(self, en: np.ndarray, count: int) -> Pseudospectrum:
-        return next(self.spectra(en[None], count))
-
-    def spectra(self, ens: np.ndarray, count: int) -> Iterator[Pseudospectrum]:
-        """spectrum(en, count) of every E_n of the stack ens, in order."""
+    def spectra(self, ens: np.ndarray, count: int) -> list[Pseudospectrum]:
+        """For every E_n of the stack ens, in order, its certified compact
+        spectrum, or its full scan."""
         # a one-column E_n takes BLAS's matrix-vector path, whose rounding
         # of a column depends on where it sits, so it scans the whole table
         found = self._search(ens, count) if ens.shape[-1] > 1 else [None] * len(ens)
-        for en, compact in zip(ens, found):
-            yield Pseudospectrum._trusted(self.grid, _spectrum(en, self.steering)) \
-                if compact is None else compact
+        return [Pseudospectrum._trusted(self.grid, _spectrum(en, self.steering))
+                if compact is None else compact for en, compact in zip(ens, found)]
 
     def _search(self, ens: np.ndarray, count: int) -> list[Pseudospectrum | None]:
         """The certified compact spectrum of each E_n of the stack ens, or

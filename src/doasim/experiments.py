@@ -27,9 +27,9 @@ import numpy as np
 # music_pseudospectrum, coarray_music, generate_snapshots and perturb are not
 # called here; they stay in this namespace for callers that look them up
 # through experiments, such as perfbench/tracing.py
-from .estimators import (_CHUNK_BYTES, _DENOM_FLOOR, _SCAN_BLOCK, DoaEstimateSet,
-                         Pseudospectrum, _coarray_noise, _lag_smoothing, _PeakSearch,
-                         _scan_slice, _spectrum, azimuth_grid, coarray_music, fov_window,
+from .estimators import (_CHUNK_BYTES, _DENOM_FLOOR, DoaEstimateSet, Pseudospectrum,
+                         _coarray_noise, _lag_smoothing, _PeakSearch, _scan_slice,
+                         _spectrum, azimuth_grid, coarray_music, fov_window,
                          music_pseudospectrum, pick_peaks, virtual_steering)
 from .geometry import ArrayGeometry, GeometryError, is_perfect, named_geometry
 from .manifold import (SourceScenario, _synthesize, apply_coupling_model,
@@ -88,6 +88,8 @@ def _shown(v) -> str:
     try:
         text = repr(v)
     except ValueError:
+        if isinstance(v, (list, tuple)):
+            return f"a {type(v).__name__} holding an integer past the digit limit"
         if not isinstance(v, int):
             raise
         return f"a {'negative ' if v < 0 else ''}{v.bit_length()}-bit integer"
@@ -179,8 +181,13 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.geometry, list):
-            object.__setattr__(self, "geometry", tuple(self.geometry))
+        # the one check of the geometry's type, before anything reads it
+        geometry = tuple(self.geometry) if isinstance(self.geometry, list) else self.geometry
+        if not (isinstance(geometry, str) or isinstance(geometry, tuple) and all(
+                isinstance(p, int) and not isinstance(p, bool) for p in geometry)):
+            raise ConfigError(f"key 'geometry': expected a name or a list of finite "
+                              f"integers, got {_shown(self.geometry)}", "geometry")
+        object.__setattr__(self, "geometry", geometry)
         # every number a float key holds is stored as a float: 5 and 5.0
         # compare equal but serialize, and so hash, differently
         for key, (attr, parse, valid, text) in _SCALARS.items():
@@ -315,8 +322,7 @@ class ExperimentConfig:
 
     def resolve_geometry(self) -> ArrayGeometry:
         try:
-            return named_geometry(self.geometry if isinstance(self.geometry, str)
-                                  else list(self.geometry))
+            return named_geometry(self.geometry)
         except GeometryError as exc:
             raise ConfigError(f"key 'geometry': {exc}", "geometry") from None
 
@@ -351,11 +357,6 @@ class ExperimentConfig:
         for req in ("family", "geometry", "manifold.pattern"):
             if req not in m:
                 raise ConfigError(f"missing required key {req!r}", req)
-        geom = m["geometry"]
-        if not (isinstance(geom, str) or isinstance(geom, list) and all(
-                isinstance(p, int) and not isinstance(p, bool) for p in geom)):
-            raise ConfigError(f"key 'geometry': expected name or integer list, "
-                              f"got {geom!r}", "geometry")
         kwargs: dict = {"family": m.pop("family"), "geometry": m.pop("geometry"),
                         "pattern": m.pop("manifold.pattern"), "pattern_params": {}}
         fields = {key: attr for key, (attr, *_) in _SCALARS.items()}
@@ -587,16 +588,13 @@ class _TrialEngine:
         stacked array of the chunk passes _CHUNK_BYTES. Per trial, the draws
         and snapshots take max(L, N) * T entries of 16 bytes (a complex
         number, or a real and an imaginary draw), and the search's bound
-        product (rows - L) * (blocks + 2) entries of the steering table's
-        itemsize, 8 bytes for the real coarray table; a complex product is
-        squared in place beside one temporary of half its size. The
-        search's union product is not counted here: it runs in groups of
-        rows that take at most half of _CHUNK_BYTES, whatever the union's
-        width (_PeakSearch._compact)."""
-        rows, columns = self.steering.shape
-        refs = -(-columns // _SCAN_BLOCK) + 2
+        product _PeakSearch.bound_bytes of the table and the rows - L noise
+        columns; a complex product is squared in place beside one temporary
+        of half its size. The search's union product is not counted here:
+        it runs in groups of rows that take at most half of _CHUNK_BYTES,
+        whatever the union's width (_PeakSearch._compact)."""
         per_trial = max(16 * max(sources, self.geometry.element_count) * self.cfg.snapshots,
-                        self.steering.itemsize * (rows - sources) * refs)
+                        _PeakSearch.bound_bytes(self.steering, len(self.steering) - sources))
         return max(1, min(_SEED_CHUNK, _CHUNK_BYTES // per_trial))
 
     def noise(self, index: int, trials) -> Iterator[np.ndarray]:

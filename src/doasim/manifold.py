@@ -160,16 +160,13 @@ class SnapshotSet:
 
 
 def generate_snapshots(manifold: ArrayManifold, scenario: SourceScenario,
-                       snapshot_count: int, rng, *,
-                       steering: np.ndarray | None = None) -> SnapshotSet:
+                       snapshot_count: int, rng) -> SnapshotSet:
     """Simulate x(t) = A s(t) + n(t) with unit-power complex Gaussian noise.
 
     Sources are i.i.d. circular complex Gaussian with amplitude set by the
     per-source SNR. rng may be a Generator, a SeedSequence, or an int seed;
     the same seed and inputs reproduce the snapshot set bit-identically
-    (source draws come before noise draws). `steering` may carry a
-    precomputed N x L matrix A for the scenario's angles, such as a
-    perturbed, coupled one; the draws do not depend on it.
+    (source draws come before noise draws).
     """
     if snapshot_count < 1:
         raise ValueError(f"snapshot_count must be >= 1, got {snapshot_count}")
@@ -177,14 +174,11 @@ def generate_snapshots(manifold: ArrayManifold, scenario: SourceScenario,
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
     n, l, t = manifold.geometry.element_count, scenario.source_count, snapshot_count
-    if steering is None:
-        steering = steering_matrix(manifold, scenario.angles)
-    elif steering.shape != (n, l):
-        raise ValueError(f"steering shape {steering.shape} != ({n}, {l})")
     sr = gen.standard_normal((2, l, t))
     nr = gen.standard_normal((2, n, t))
-    return SnapshotSet(_synthesize(steering, scenario.per_source_snr_db, sr, nr), scenario,
-                       manifold.label, seed_note)
+    return SnapshotSet(_synthesize(steering_matrix(manifold, scenario.angles),
+                                   scenario.per_source_snr_db, sr, nr),
+                       scenario, manifold.label, seed_note)
 
 
 def _synthesize(steering: np.ndarray, snr_db, sr: np.ndarray, nr: np.ndarray) -> np.ndarray:

@@ -261,6 +261,32 @@ def test_file_and_constructor_reject_alike(cfg, invalid):
     assert _rejected_key(lambda: ExperimentConfig(**fields)) == from_file
 
 
+@pytest.mark.parametrize("geometry", [[False, True, 3], [0, 1.0, 3], [[0], [1], [3]], True,
+                                      {"a": 1}],
+                         ids=["bools", "float", "nested", "bool", "mapping"])
+def test_file_and_constructor_reject_geometry_alike(geometry):
+    # one geometry check: a value that is neither a name nor a list of
+    # integers gives a ConfigError keyed geometry from a file and from
+    # ExperimentConfig alike
+    cfg = ExperimentConfig(family="fixed-scenario", geometry="ula4", pattern="isotropic")
+    mapping = {**cfg.to_mapping(), "geometry": geometry}
+    text = "".join(f"{k} = {json.dumps(v)}\n" for k, v in mapping.items())
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    assert _rejected_key(lambda: parse_config_text(text)) == "geometry"
+    assert _rejected_key(lambda: ExperimentConfig(**{**fields, "geometry": geometry})) == "geometry"
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the README's library example runs as printed, numpy warnings as errors
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, flags=re.DOTALL).group(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 def test_readme_config_table_lists_every_key():
     # the README's config table and the keys a config may set cannot drift
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

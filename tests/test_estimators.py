@@ -505,7 +505,7 @@ def _pruned_and_full(vals, count, fov=89.0, grid=None):
     grid = _scan_grid(fov) if grid is None else grid
     search, en, table = _hand_search(grid, vals, fov)
     full = Pseudospectrum(grid, estimators._spectrum(en, table))
-    spectrum = search.spectrum(en, count)
+    [spectrum] = search.spectra(en[None], count)
     got = pick_peaks(spectrum, count, fov)
     assert got == pick_peaks(full, count, fov)
     assert spectrum.grid[0] == grid[0] and spectrum.grid[-1] == grid[-1]
@@ -554,37 +554,35 @@ def test_pruned_search_leaves_partial_last_block_to_full_scan(monkeypatch):
     # 18,001 columns: the last block holds only +90 deg. BLAS's real
     # small-matrix kernel rounds a product's last columns differently from
     # the full-size product, so a peak there is found by the full scan, and
-    # every value the search does evaluate equals the full scan's
+    # every value the search evaluates before it equals the full scan's. The
+    # highest bump has a flat top, so the first round keeps only whole
+    # blocks and does not certify; the picks double until they reach the
+    # +90 deg peak
     grid = azimuth_grid(0.01)
     assert grid.size % 16 == 1
-    vals = _bumps(grid.size, [9000, grid.size - 1])
+    vals = _flat_topped(grid.size, 16 * 250 + 8, 16 * 562 + 8, grid.size - 1)
     q = np.linalg.qr(np.random.default_rng(5).normal(size=(16, 16)))[0]
-    rows = np.vstack((1.0 / np.sqrt(vals),
-                      1e-3 * np.random.default_rng(6).normal(size=(15, grid.size))))
-    table, en = q @ rows, q[:, :12]
-    full = estimators._spectrum(en, table)
-    kept, values = [], []
-    compact, spectrum = estimators._PeakSearch._compact, estimators._spectrum
+    table = q @ np.vstack((1.0 / np.sqrt(vals), np.zeros((15, grid.size))))
+    en = q[:, :12]
+    full = Pseudospectrum(grid, estimators._spectrum(en, table))
+    compacts = []
+    compact = estimators._PeakSearch._compact
 
     def recording_compact(self, noise, blocks, *args):
-        kept.append(blocks)
-        return compact(self, noise, blocks, *args)
-
-    def recording_spectrum(noise, steering):
-        values.append(spectrum(noise, steering))
-        return values[-1]
+        compacts.append((blocks, *compact(self, noise, blocks, *args)))
+        return compacts[-1][1:]
 
     monkeypatch.setattr(estimators._PeakSearch, "_compact", recording_compact)
-    monkeypatch.setattr(estimators, "_spectrum", recording_spectrum)
-    got = estimators._PeakSearch(grid, table, 90.0).spectrum(en, 2)
+    [got] = estimators._PeakSearch(grid, table, 90.0).spectra(en[None], 2)
     monkeypatch.undo()
     assert got.grid.size == grid.size
     est = pick_peaks(got, 2)
-    assert est == pick_peaks(Pseudospectrum(grid, full), 2)
+    assert est == pick_peaks(full, 2)
     assert 90.0 in est.angles
-    for blocks, got in zip(kept, values):
-        cols = (blocks[:, None] * 16 + np.arange(16)).ravel()
-        assert np.array_equal(got, full[cols[cols < grid.size]])
+    assert compacts
+    for blocks, cgrid, values in compacts:
+        assert blocks[-1] < grid.size // 16
+        assert evaluated_values_equal(Pseudospectrum(cgrid, values[0]), full)
 
 
 def test_pruned_search_ignores_maxima_where_kept_runs_meet(monkeypatch):
@@ -686,8 +684,8 @@ def _chunk_matches_full_scans(grid, rows, count, fov):
     what the full scans pick and hold their values; returns which rows took
     the full scan."""
     search, ens, table = _stacked_hand_search(grid, rows, fov)
-    spectra = list(search.spectra(ens, count))
-    assert len(spectra) == len(rows)
+    spectra = search.spectra(ens, count)
+    assert isinstance(spectra, list) and len(spectra) == len(rows)
     for spectrum, en in zip(spectra, ens):
         full = Pseudospectrum(grid, estimators._spectrum(en, table))
         assert pick_peaks(spectrum, count, fov) == pick_peaks(full, count, fov)

@@ -173,6 +173,14 @@ def test_config_error_names_geometry_of_non_finite_position(position):
     assert exc.value.key == "geometry"
 
 
+def test_config_error_names_geometry_holding_int_past_digit_limit():
+    # such a list has no repr; the error says why and names the key
+    with pytest.raises(ConfigError, match="integer past the digit limit") as exc:
+        ExperimentConfig(family="fixed-scenario", geometry=(0, 10**5000, 2.5),
+                         pattern="isotropic")
+    assert exc.value.key == "geometry"
+
+
 # ------------------------------------------------------------------ sweeps
 
 def test_run_sweep_deterministic():
@@ -588,7 +596,7 @@ def test_engine_pruned_search_matches_full_scan(table_file, geometry, kind, esti
     l = len(angles)
     for en in _trial_noise(engine, 0, range(cfg.trials)):
         full = Pseudospectrum(engine.grid, _spectrum(en, engine.steering))
-        pruned = engine.search.spectrum(en, l)
+        [pruned] = engine.search.spectra(en[None], l)
         assert pick_peaks(pruned, l, fov) == pick_peaks(full, l, fov)
         assert evaluated_values_equal(pruned, full)
 

@@ -137,21 +137,6 @@ def test_snapshots_shape_and_determinism():
         generate_snapshots(m, sc, 0, 1)
 
 
-def test_snapshots_with_precomputed_steering():
-    # a precomputed data steering replaces the manifold's own; the draws,
-    # and so the snapshots for the same steering, do not change
-    m = apply_coupling_model(make_manifold(make_mra(4), make_patch()), 0.2, 0.5)
-    sc = SourceScenario((-20.0, 5.0), 0.0)
-    own = generate_snapshots(m, sc, 40, 77)
-    given = generate_snapshots(m, sc, 40, 77, steering=steering_matrix(m, sc.angles))
-    assert np.array_equal(given.data, own.data)
-    other = generate_snapshots(m, sc, 40, 77, steering=np.zeros((4, 2), dtype=complex))
-    noise_only = generate_snapshots(m, SourceScenario((-20.0, 5.0), -1000.0), 40, 77)
-    assert np.array_equal(other.data, noise_only.data)
-    with pytest.raises(ValueError, match="steering shape"):
-        generate_snapshots(m, sc, 40, 77, steering=np.zeros((4, 3), dtype=complex))
-
-
 @pytest.mark.parametrize("stack, n, l, t", [((), 8, 2, 50), ((), 4, 6, 1), ((), 3, 1, 1),
                                              ((5,), 8, 2, 50), ((3,), 8, 10, 1024),
                                              ((2, 2), 4, 6, 1)])
