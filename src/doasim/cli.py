@@ -30,11 +30,10 @@ def _cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    result = run_sweep(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.config).stem
-
-    result = run_sweep(cfg)
     csv_path = out / f"{stem}.csv"
     svg_path = out / f"{stem}.svg"
     write_results(result, csv_path)

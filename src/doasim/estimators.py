@@ -9,6 +9,7 @@ nominal manifold a caller passes in; any mismatch lives in the data.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,16 +228,18 @@ def coarray_covariance(r: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
 
 
 def _lag_smoothing(r: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
-    """coarray_covariance without its checks on r."""
+    """coarray_covariance without its checks on r, of one matrix or of each of
+    a stack (..., N, N) as if alone: np.take gathers C-ordered, so numpy sums
+    each lag mean pairwise; from a fancy-indexed stack it sums sequentially."""
     groups, hankel = _lag_table(geometry)
     m = geometry.aperture
-    flat = r.ravel()
-    z = np.zeros(2 * m + 1, dtype=complex)
+    flat = r.reshape(*r.shape[:-2], -1)
+    z = np.zeros((*r.shape[:-2], 2 * m + 1), dtype=complex)
     for lags, pairs in groups:
-        z[lags] = np.mean(flat[pairs], axis=1)
-    windows = z[hankel]  # (M+1, M+1)
-    rss = windows @ windows.conj().T / (m + 1)
-    return (rss + rss.conj().T) / 2.0
+        z[..., lags] = np.mean(np.take(flat, pairs, axis=-1), axis=-1)
+    windows = np.take(z, hankel, axis=-1)  # (..., M+1, M+1)
+    rss = windows @ np.swapaxes(windows.conj(), -1, -2) / (m + 1)
+    return (rss + np.swapaxes(rss.conj(), -1, -2)) / 2.0
 
 
 @functools.lru_cache(maxsize=64)
@@ -282,10 +285,10 @@ def virtual_steering(aperture: int, azimuth_deg) -> np.ndarray:
 
 
 def _coarray_noise(rss: np.ndarray, source_count: int) -> np.ndarray:
-    """The real noise subspaces of a stack (B, M+1, M+1) of smoothed
-    covariances in the unitary basis, (B, M+1, M+1-L), without checks on rss
-    and source_count: one basis change, one symmetrization and one eigh for
-    the stack, each subspace bit for bit that of its covariance alone."""
+    """The real noise subspace (M+1, M+1-L) of a smoothed covariance in the
+    unitary basis, or of each of a stack (..., M+1, M+1), without checks on
+    rss and source_count: one basis change, one symmetrization and one eigh
+    for the stack, each subspace bit for bit that of its covariance alone."""
     size = rss.shape[-1]
     q = _unitary_basis(size)
     x = (q.conj().T @ rss @ q).real
@@ -309,8 +312,7 @@ def coarray_music(r: np.ndarray, geometry: ArrayGeometry, source_count: int,
         raise RankError(f"coarray supports 1..{m} sources for {geometry.name!r}, "
                         f"got {source_count}")
     # the check keeps an overflowing R_ss a ValueError rather than a failed eigh
-    en = _coarray_noise(_check_hermitian(coarray_covariance(r, geometry))[None],
-                        source_count)[0]
+    en = _coarray_noise(_check_hermitian(coarray_covariance(r, geometry)), source_count)
     if grid is None:
         grid = azimuth_grid()
     return Pseudospectrum(grid, _spectrum(en, virtual_steering(m, grid)))
@@ -407,10 +409,10 @@ class _PeakSearch:
 
     `grid` is azimuth_grid(step)[_scan_slice(azimuth_grid(step), fov)] and
     `steering` holds its columns. Its blocks are its aligned _SCAN_BLOCK-column
-    slices; the last may be partial. spectra(ens, count) gives, for every E_n
-    of the stack ens and in one search for the stack, a Pseudospectrum on
-    which pick_peaks(., count, fov) gives what it gives on the full scan
-    Pseudospectrum(grid, _spectrum(en, steering)), bit for bit:
+    slices; the last may be partial. spectra(ens, count) yields, for every
+    E_n of the stack ens in order and from one search for the stack, a
+    Pseudospectrum on which pick_peaks(., count, fov) gives what it gives on
+    the full scan Pseudospectrum(grid, _spectrum(en, steering)), bit for bit:
 
     - Bound. E_n has orthonormal columns, so for columns i and c,
       ||E_n^H a_i|| >= ||E_n^H a_c|| - ||a_i - a_c||. Block b keeps its
@@ -462,10 +464,10 @@ class _PeakSearch:
       operation.
     - Otherwise that E_n's picks double in bound order, and the E_n that
       did not certify take a further stacked round on the union of their
-      new kept blocks. An E_n takes the full scan when the coarse pass shows
-      fewer than count maxima (filling reads every value), when its kept
-      blocks pass half the window's blocks or reach a partial last block,
-      or when E_n has one column.
+      new kept blocks. An E_n takes the full scan, computed when it is
+      reached, when the coarse pass shows fewer than count maxima (filling
+      reads every value), when its kept blocks pass half the window's
+      blocks or reach a partial last block, or when E_n has one column.
     """
 
     def __init__(self, grid: np.ndarray, steering: np.ndarray, fov_deg: float):
@@ -515,14 +517,14 @@ class _PeakSearch:
         np.maximum(ub, _DENOM_FLOOR, out=ub)
         return denom, np.divide(1.0, ub, out=ub)
 
-    def spectra(self, ens: np.ndarray, count: int) -> list[Pseudospectrum]:
-        """For every E_n of the stack ens, in order, its certified compact
-        spectrum, or its full scan."""
+    def spectra(self, ens: np.ndarray, count: int) -> Iterator[Pseudospectrum]:
+        """Yields, for every E_n of the stack ens, in order, its certified
+        compact spectrum, or its full scan, computed when its turn comes."""
         # a one-column E_n takes BLAS's matrix-vector path, whose rounding
         # of a column depends on where it sits, so it scans the whole table
         found = self._search(ens, count) if ens.shape[-1] > 1 else [None] * len(ens)
-        return [Pseudospectrum._trusted(self.grid, _spectrum(en, self.steering))
-                if compact is None else compact for en, compact in zip(ens, found)]
+        for en, compact in zip(ens, found):
+            yield compact or Pseudospectrum._trusted(self.grid, _spectrum(en, self.steering))
 
     def _search(self, ens: np.ndarray, count: int) -> list[Pseudospectrum | None]:
         """The certified compact spectrum of each E_n of the stack ens, or

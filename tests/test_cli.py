@@ -198,6 +198,17 @@ def test_sweep_bad_pattern_table_exits_2(tmp_path, capsys, table):
     assert not out.exists()
 
 
+def test_sweep_failing_at_run_time_exits_3_and_writes_nothing(tmp_path):
+    # a trial count too large for the results array passes the parser and
+    # fails once the sweep runs; the output directory is made only after it
+    conf = tmp_path / "huge.conf"
+    conf.write_text("family = fixed-scenario\ngeometry = ula8\n"
+                    "manifold.pattern = isotropic\ntrials = 1000000000000000000\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_sweep_missing_config_exits_2(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "nope.conf"),
                  "--out", str(tmp_path)]) == 2

@@ -450,6 +450,32 @@ def test_coarray_covariance_property(name, seed, log_scale):
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from([f"ula{n}" for n in range(2, 17)]
+                            + [f"mra{n}" for n in range(2, 9)] + ["custom"]),
+       trials=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       log_scale=st.floats(-3.0, 308.0))
+@example(name="mra8", trials=1, seed=0, log_scale=308.0)
+@example(name="mra8", trials=3, seed=1, log_scale=308.0)
+@example(name="mra8", trials=600, seed=1, log_scale=0.0)
+def test_lag_smoothing_of_a_stack_matches_each_matrix(name, trials, seed, log_scale):
+    # a stack of covariances is smoothed in one call, each bit for bit as
+    # alone, on every catalog layout and a custom hole-free one, up to scales
+    # where the lag products overflow
+    geom = ArrayGeometry((0, 1, 2, 5, 8)) if name == "custom" else named_geometry(name)
+    n = geom.element_count
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((trials, n, n)) + 1j * rng.standard_normal((trials, n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (x + np.swapaxes(x.conj(), -1, -2)) * (10.0 ** log_scale / 2.0)
+        stacked = estimators._lag_smoothing(r, geom)
+        alone = np.stack([estimators._lag_smoothing(ri, geom) for ri in r])
+        one = estimators._lag_smoothing(r[:1], geom)
+    assert stacked.shape == alone.shape == (trials, geom.aperture + 1, geom.aperture + 1)
+    assert np.array_equal(stacked, alone, equal_nan=True)
+    assert np.array_equal(one, alone[:1], equal_nan=True)
+
+
 def test_azimuth_grid_defaults():
     g = azimuth_grid()
     assert g.size == 18001
@@ -684,14 +710,36 @@ def _chunk_matches_full_scans(grid, rows, count, fov):
     what the full scans pick and hold their values; returns which rows took
     the full scan."""
     search, ens, table = _stacked_hand_search(grid, rows, fov)
-    spectra = search.spectra(ens, count)
-    assert isinstance(spectra, list) and len(spectra) == len(rows)
+    spectra = list(search.spectra(ens, count))
+    assert len(spectra) == len(rows)
     for spectrum, en in zip(spectra, ens):
         full = Pseudospectrum(grid, estimators._spectrum(en, table))
         assert pick_peaks(spectrum, count, fov) == pick_peaks(full, count, fov)
         assert spectrum.grid[0] == grid[0] and spectrum.grid[-1] == grid[-1]
         assert evaluated_values_equal(spectrum, full)
     return [spectrum.grid.size == grid.size for spectrum in spectra]
+
+
+def test_pruned_search_scans_each_fallback_when_its_row_is_reached(monkeypatch):
+    # monotone rows hold one maximum, fewer than count, so every row takes
+    # the full scan; each one is computed only when its spectrum is taken
+    grid = _scan_grid(90.0)
+    rows = [np.linspace(1.0, 2.0 + i, grid.size)[::(-1) ** i] for i in range(4)]
+    search, ens, table = _stacked_hand_search(grid, rows, 90.0)
+    scans = []
+    spectrum = estimators._spectrum
+
+    def counted(en, steering):
+        if steering is table:
+            scans.append(en)
+        return spectrum(en, steering)
+
+    monkeypatch.setattr(estimators, "_spectrum", counted)
+    spectra = search.spectra(ens, 2)
+    assert next(spectra).grid.size == grid.size
+    assert len(scans) == 1
+    assert len(list(spectra)) == len(rows) - 1
+    assert len(scans) == len(rows)
 
 
 def _flat_topped(size, top, second, third):
