@@ -144,7 +144,7 @@ def main(argv=None) -> int:
     except (ConfigError, GeometryError, PatternError, TableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RankError, OSError, ValueError) as exc:
+    except (RankError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

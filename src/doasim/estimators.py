@@ -159,6 +159,25 @@ def _spectrum(noise_vecs: np.ndarray, steering: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(_denominators(noise_vecs, steering), _DENOM_FLOOR)
 
 
+def _grouped_denominators(ens: np.ndarray, table: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """_denominators(ens, table) of E_n or of the stack ens, written into
+    out, a (B, columns) float array for a stack, in groups of E_n whose
+    product takes at most half of _CHUNK_BYTES, as its squaring temporary,
+    the table and out are held beside it. numpy multiplies each matrix of a
+    stack on its own, so every row is bit for bit what one product of the
+    whole stack gives; a split of the columns would move the bits of a
+    product's last columns."""
+    stack = ens.reshape(-1, *ens.shape[-2:])
+    if out is None:
+        out = np.empty((len(stack), table.shape[1]))
+    row_bytes = ens.shape[-1] * table.shape[1] * np.result_type(ens, table).itemsize
+    step = max(1, _CHUNK_BYTES // 2 // row_bytes)
+    for i in range(0, len(stack), step):
+        out[i:i + step] = _denominators(stack[i:i + step], table)
+    return out.reshape(*ens.shape[:-2], -1)
+
+
 def music_pseudospectrum(r: np.ndarray, manifold: ArrayManifold, source_count: int,
                          grid: np.ndarray | None = None) -> Pseudospectrum:
     """Element-space MUSIC: 1 / ||E_n^H a(phi)||^2 over the scan grid.
@@ -441,12 +460,15 @@ class _PeakSearch:
       window blocks whose bound reaches it are that E_n's picks; its kept
       blocks are its picks and both neighbours of each. The union of the
       kept blocks over the stack is evaluated for every E_n in one stacked
-      product over its columns in ascending order, run in groups of rows
-      under a byte cap, so every column takes the path it takes in the full
-      scan. That holds for whole blocks only: BLAS computes a
-      product's last (n mod kernel width) columns on a path that may also
-      depend on the product's size (OpenBLAS's real small-matrix kernel
-      does), so a partial last block is left to the full scan.
+      product over its columns in ascending order, so every column takes
+      the path it takes in the full scan. That holds for whole blocks only:
+      BLAS computes a product's last (n mod kernel width) columns on a path
+      that may also depend on the product's size (OpenBLAS's real
+      small-matrix kernel does), so a partial last block is left to the
+      full scan. The bound product and the union's run in groups of E_n
+      under a byte cap (_grouped_denominators), which leaves every value
+      as the whole stack's product gives it; only the stack's float rows,
+      row_bytes per E_n, span the whole stack.
     - Compact spectrum. The union's columns, and the first and last column
       of the table where they do not reach them, with values from the
       coarse product, which also takes those two columns. It spans the full
@@ -498,17 +520,18 @@ class _PeakSearch:
                              (window.stop - 1) // _SCAN_BLOCK + 1)
 
     @staticmethod
-    def bound_bytes(table: np.ndarray, columns: int) -> int:
-        """Bytes of the bound product of one E_n of `columns` columns over a
-        table shaped and typed as `table`: E_n^H _refs, one reference column
-        per block and the table's first and last column."""
-        return table.itemsize * columns * (-(-table.shape[1] // _SCAN_BLOCK) + 2)
+    def row_bytes(table: np.ndarray) -> int:
+        """Bytes of one E_n's row of the search's float arrays over a table
+        shaped as `table` (denominators, bounds, dips and their sorted
+        copy): one value per block and for the table's first and last
+        column. The products behind them run in capped groups of rows."""
+        return 8 * (-(-table.shape[1] // _SCAN_BLOCK) + 2)
 
     def _bounds(self, en: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(denominator at the reference columns and at the table's first
         and last column, UB_b for every block), of E_n or of each E_n of a
         stack, every one bit for bit as if alone."""
-        denom = _denominators(en, self._refs)
+        denom = _grouped_denominators(en, self._refs)
         ub = np.sqrt(denom[..., :-2])
         ub *= 1.0 - 1e-9
         ub -= self._shift
@@ -577,11 +600,7 @@ class _PeakSearch:
         lo, hi = int(cols[0] > 0), int(cols[-1] < self.grid.size - 1)
         values = np.empty((len(ens), lo + cols.size + hi))
         values[:, :lo], values[:, lo + cols.size:] = ends[:, :lo], ends[:, 2 - hi:]
-        # groups of rows whose product takes at most half of _CHUNK_BYTES, as
-        # its complex temporary, the gathered columns and the values of the
-        # whole stack are held beside it
-        row_bytes = ens.shape[-1] * cols.size * np.result_type(ens, table).itemsize
-        step = max(1, _CHUNK_BYTES // 2 // row_bytes)
-        for i in range(0, len(ens), step):
-            values[i:i + step, lo:lo + cols.size] = _spectrum(ens[i:i + step], table)
+        mid = values[:, lo:lo + cols.size]
+        _grouped_denominators(ens, table, mid)
+        np.divide(1.0, np.maximum(mid, _DENOM_FLOOR, out=mid), out=mid)
         return self.grid[np.concatenate((self._ends[:lo], cols, self._ends[2 - hi:]))], values

@@ -587,15 +587,14 @@ class _TrialEngine:
         """Trials per chunk: at most _SEED_CHUNK, and few enough that no
         stacked array of the chunk passes _CHUNK_BYTES. Per trial, the draws
         and snapshots take max(L, N) * T entries of 16 bytes (a complex number,
-        or a real and an imaginary draw), and the search's bound product
-        _PeakSearch.bound_bytes of the table and the rows - L noise columns; a
-        complex product is squared in place beside one temporary of half its
-        size. Not counted: the search's union product, run in groups of rows of
-        at most half of _CHUNK_BYTES whatever its width (_PeakSearch._compact),
-        and one trial's full scan, (rows - L) * columns * itemsize bytes:
-        2,016,112 for ten sources on mra8's coarray at 0.01 degree steps."""
+        or a real and an imaginary draw), and the search's float rows
+        _PeakSearch.row_bytes of the table. Not counted: the search's bound
+        and union products, run in groups of rows of at most half of
+        _CHUNK_BYTES whatever their width (_grouped_denominators), and one
+        trial's full scan, (rows - L) * columns * itemsize bytes: 2,016,112
+        for ten sources on mra8's coarray at 0.01 degree steps."""
         per_trial = max(16 * max(sources, self.geometry.element_count) * self.cfg.snapshots,
-                        _PeakSearch.bound_bytes(self.steering, len(self.steering) - sources))
+                        _PeakSearch.row_bytes(self.steering))
         return max(1, min(_SEED_CHUNK, _CHUNK_BYTES // per_trial))
 
     def noise(self, index: int, trials) -> Iterator[np.ndarray]:
@@ -657,10 +656,10 @@ def run_point(config: ExperimentConfig, point_index: int, *,
     next(engine.noise(point_index, [t]))[0] and a full-scan pick, scored
     against config.scenario_at of the point. The trials run chunk by chunk
     through engine.noise and the engine's pruned search, which bounds a
-    chunk in one product and certifies it on the union of its trials' kept
-    blocks; each trial is picked by one pick_peaks call, and the point's
-    estimates are scored in one array operation. `engine` lets a sweep
-    share one engine, built for the same config, across its points.
+    chunk in capped groups of rows and certifies it on the union of its
+    trials' kept blocks; each trial is picked by one pick_peaks call, and
+    the point's estimates are scored in one array operation. `engine` lets
+    a sweep share one engine, built for the same config, across its points.
     """
     points = config.points
     if not 0 <= point_index < len(points):

@@ -230,16 +230,26 @@ def evaluate(pattern: ElementPattern, azimuth_deg) -> np.ndarray:
 
 def _draw(kind: str, perturbation: PatternPerturbation,
           rng: np.random.Generator) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """One element's deviation, drawn in a fixed order: the shape-parameter
-    scales, then the phase-noise grid. Either is None when switched off."""
-    tol = perturbation.param_tolerance
-    std = perturbation.phase_noise_std_deg
-    scales = noise = None
-    if tol > 0.0:
-        scales = rng.uniform(1.0 - tol, 1.0 + tol, size=len(_SHAPE_PARAMS[kind]))
-    if std > 0.0:
-        noise = rng.normal(0.0, std, size=_NOISE_GRID.size)
-    return scales, noise
+    """One element's raw deviation draws, in a fixed order: uniforms on
+    [0, 1) for the shape-parameter scales, then standard normals for the
+    phase-noise grid. Either is None when switched off; _deviation maps
+    them."""
+    u = z = None
+    if perturbation.param_tolerance > 0.0:
+        u = rng.random(len(_SHAPE_PARAMS[kind]))
+    if perturbation.phase_noise_std_deg > 0.0:
+        z = rng.standard_normal(_NOISE_GRID.size)
+    return u, z
+
+
+def _deviation(perturbation: PatternPerturbation, u, z) -> tuple:
+    """(scales, phase noise) from raw draws of any shape, or None where a
+    draw is: Generator.uniform(1 - tol, 1 + tol) and Generator.normal(0,
+    std) of the same generator, bit for bit, as numpy computes them from
+    the same raw draws as lo + (hi - lo) * u and 0.0 + std * z."""
+    lo, hi = 1.0 - perturbation.param_tolerance, 1.0 + perturbation.param_tolerance
+    return (None if u is None else lo + (hi - lo) * u,
+            None if z is None else 0.0 + perturbation.phase_noise_std_deg * z)
 
 
 def _scaled(pattern: ElementPattern, scales) -> dict:
@@ -260,7 +270,7 @@ def perturb(pattern: ElementPattern, perturbation: PatternPerturbation,
     """
     if perturbation.is_zero:
         return pattern
-    scales, noise = _draw(pattern.kind, perturbation, rng)
+    scales, noise = _deviation(perturbation, *_draw(pattern.kind, perturbation, rng))
     params = _scaled(pattern, () if scales is None else scales)
     return ElementPattern(pattern.kind, params, pattern.samples,
                           None if noise is None else tuple(noise))
@@ -281,12 +291,12 @@ def perturbed_gains(pattern: ElementPattern, perturbation: PatternPerturbation,
     draws = [_draw(pattern.kind, perturbation, rng) for rng in rngs]
     if perturbation.is_zero:
         return np.broadcast_to(evaluate(pattern, az), (len(draws), az.size))
-    scales, noise = zip(*draws)
+    u, z = ((None if d[0] is None else np.array(d)) for d in zip(*draws))
+    scales, noise = _deviation(perturbation, u, z)
     params = pattern.params
-    if scales[0] is not None:
+    if scales is not None:
         # (params, N, 1): iterating yields one (N, 1) column per shape parameter
-        params = _scaled(pattern, np.array(scales).T[:, :, None])
-    noise = None if noise[0] is None else np.array(noise)
+        params = _scaled(pattern, scales.T[:, :, None])
     return np.broadcast_to(_gain(pattern, params, noise, az), (len(draws), az.size))
 
 

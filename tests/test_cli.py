@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from doasim import cli
 from doasim.cli import main
 from doasim.config import read_results
 from doasim.estimators import azimuth_grid, fov_window
@@ -204,6 +205,21 @@ def test_sweep_failing_at_run_time_exits_3_and_writes_nothing(tmp_path):
     conf = tmp_path / "huge.conf"
     conf.write_text("family = fixed-scenario\ngeometry = ula8\n"
                     "manifold.pattern = isotropic\ntrials = 1000000000000000000\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_sweep_out_of_memory_exits_3_and_writes_nothing(tmp_path, monkeypatch):
+    # a sweep whose arrays do not fit in memory is a run-time failure with a
+    # documented exit code, not a traceback
+    def out_of_memory(config):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "run_sweep", out_of_memory)
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("family = fixed-scenario\ngeometry = ula8\n"
+                    "manifold.pattern = isotropic\ntrials = 1000000000000\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 3
     assert not out.exists()

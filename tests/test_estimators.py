@@ -694,6 +694,42 @@ def test_pruned_search_bound_holds_where_it_is_tight():
 
 # ------------------------------------------------- pruned search of a chunk
 
+@settings(max_examples=100, deadline=None)
+@given(trials=st.integers(1, 200), columns=st.integers(2, 14), extra=st.integers(1, 10),
+       size=st.integers(1, 120), real=st.booleans(), into_view=st.booleans(),
+       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_grouped_denominators_match_one_product(trials, columns, extra, size, real,
+                                                into_view, data, seed):
+    # the search's bound and union products run in groups of rows under a
+    # byte cap; every row must equal one product of the whole stack bit for
+    # bit, on real (coarray) and complex (element) tables, whether the
+    # groups write a fresh array or a column slice of a wider one
+    rng = np.random.default_rng(seed)
+    rows = columns + extra
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x if real else x + 1j * rng.standard_normal(shape)
+
+    ens = np.linalg.qr(draw((trials, rows, columns)))[0]
+    table = draw((rows, size))
+    expected = estimators._denominators(ens, table)
+    group = data.draw(st.integers(1, trials))
+    row_bytes = columns * size * np.result_type(ens, table).itemsize
+    out = np.full((trials, size + 3), np.nan)[:, 1:1 + size] if into_view else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_CHUNK_BYTES", 2 * group * row_bytes)
+        calls = []
+        denominators = estimators._denominators
+        mp.setattr(estimators, "_denominators",
+                   lambda e, t: calls.append(len(e)) or denominators(e, t))
+        got = estimators._grouped_denominators(ens, table, out)
+    assert calls == [min(group, trials - i) for i in range(0, trials, group)]
+    assert got.shape == (trials, size) and got.dtype == float
+    assert np.array_equal(got, expected)
+    if into_view:
+        assert np.array_equal(out, expected)
+
 def _stacked_hand_search(grid, rows, fov):
     # _hand_search for a chunk: row i of the table is 1 / sqrt(rows[i]) over
     # a zero row, and the i-th noise subspace is (e_i, e_zero), so that its

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,8 +447,8 @@ def test_run_point_errors_do_not_depend_on_seed_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("chunk, shape", [
-    (28, dict(family="symmetric-pair-angle-sweep", geometry="mra8", pattern="vivaldi",
-              sweep=(0.4, 12.0), snapshots=50, fov_deg=30.0, trials=100)),
+    (100, dict(family="symmetric-pair-angle-sweep", geometry="mra8", pattern="vivaldi",
+               sweep=(0.4, 12.0), snapshots=50, fov_deg=30.0, trials=100)),
     (6, dict(family="fixed-scenario", geometry="mra8", pattern="isotropic",
              angles=experiments._OVERLOADED_ANGLES, snapshots=1024,
              estimator="coarray-music", trials=100)),
@@ -457,18 +458,21 @@ def test_run_point_errors_do_not_depend_on_seed_chunks(monkeypatch):
 ], ids=["element-fov30", "coarray-overloaded", "perturbed-many-points"])
 def test_chunks_of_benchmark_shapes_stay_under_the_byte_cap(monkeypatch, chunk, shape):
     # the chunk size counts each stacked array at its real size: the draws
-    # and snapshots at 16 bytes an entry, the search's bound product at
-    # (rows - L) x (blocks + 2) entries of the steering table's itemsize.
-    # On the benchmark's three shapes a point runs in chunks of 28, 6 and
-    # 15 trials (the whole point), and no array the chunk stacks, nor any
-    # product of the search, bound or union, passes _CHUNK_BYTES. Every
-    # point of the sweep runs, down to its lowest SNR or narrowest
-    # separation, where the union of a chunk's kept blocks is widest
+    # and snapshots at 16 bytes an entry, the search's float rows at 8 bytes
+    # per block. On the benchmark's three shapes a point runs in chunks of
+    # 100 (the whole point), 6 and 15 (the whole point) trials, and no array
+    # the chunk stacks, nor any product of the search, bound or union,
+    # passes _CHUNK_BYTES: the bound pass runs in groups of rows. A point's
+    # traced peak stays within 5 * _CHUNK_BYTES. Every point of the sweep
+    # runs, down to its lowest SNR or narrowest separation, where the union
+    # of a chunk's kept blocks is widest
     cfg = ExperimentConfig(**shape, grid_step_deg=0.01)
     engine = experiments._TrialEngine(cfg)
-    sizes, stacked, products, unions = [], [], [], []
+    refs = engine.search._refs
+    sizes, stacked, products, unions, bound_groups = [], [], [], [], []
     synthesize, covariance = experiments._synthesize, experiments.sample_covariance
     sq_norms, compact = estimators._sq_norms, estimators._PeakSearch._compact
+    denominators = estimators._denominators
 
     def recording_sq_norms(x):
         # every product of the search; a complex one is squared in place,
@@ -476,42 +480,83 @@ def test_chunks_of_benchmark_shapes_stay_under_the_byte_cap(monkeypatch, chunk, 
         products.append(x.nbytes)
         return sq_norms(x)
 
+    def recording_denominators(ens, table):
+        bound_groups.append(table is refs)
+        return denominators(ens, table)
+
     def recording_compact(self, ens, kept, ends):
         unions.append(kept.size)
         return compact(self, ens, kept, ends)
 
+    # sizes only: arrays held here would count in the traced peak
     def recording_synthesize(steering, snr_db, sr, nr):
         x = synthesize(steering, snr_db, sr, nr)
-        stacked.extend([steering, sr, nr, x])
+        stacked.extend(a.nbytes for a in (steering, sr, nr, x))
         return x
 
     def recording_covariance(x):
-        stacked.append(covariance(x))
-        return stacked[-1]
+        r = covariance(x)
+        stacked.append(r.nbytes)
+        return r
 
     monkeypatch.setattr(experiments, "_synthesize", recording_synthesize)
     monkeypatch.setattr(experiments, "sample_covariance", recording_covariance)
     monkeypatch.setattr(estimators, "_sq_norms", recording_sq_norms)
+    monkeypatch.setattr(estimators, "_denominators", recording_denominators)
     monkeypatch.setattr(estimators._PeakSearch, "_compact", recording_compact)
     noise = engine.noise
-    refs = engine.search._refs
 
     def recording(*args):
         for ens in noise(*args):
             sizes.append(len(ens))
-            stacked.append(ens)
-            # E_n^H @ refs for the stack: (B, rows - L, refs)
-            product = len(ens) * ens.shape[-1] * refs.shape[1] * np.result_type(ens, refs).itemsize
-            assert product <= experiments._CHUNK_BYTES
+            stacked.append(ens.nbytes)
+            yield ens
+
+    engine.noise = recording
+    tracemalloc.start()
+    try:
+        for index in range(len(cfg.points)):
+            sizes.clear()
+            bound_groups.clear()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_point(cfg, index, engine=engine)
+            assert tracemalloc.get_traced_memory()[1] - base <= 5 * experiments._CHUNK_BYTES
+            assert sizes[0] == chunk and sum(sizes) == cfg.trials
+            assert sum(bound_groups) > len(sizes)
+    finally:
+        tracemalloc.stop()
+    assert max(stacked) <= experiments._CHUNK_BYTES
+    assert unions and max(products) <= experiments._CHUNK_BYTES
+
+
+def test_element_point_of_several_chunks_replays_each_trial(monkeypatch):
+    # a benchmark-sized element-music point runs as one chunk; with the byte
+    # cap lowered it runs in chunks of 7, and every trial, wherever it sits
+    # in its chunk, equals its replay as a chunk of one with a full-scan pick
+    cfg = ExperimentConfig(family="symmetric-pair-angle-sweep", geometry="mra8",
+                           pattern="vivaldi", sweep=(0.4, 12.0), snapshots=50,
+                           fov_deg=30.0, trials=20, seed=3)
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 7 * 16 * 8 * cfg.snapshots)
+    engine = experiments._TrialEngine(cfg)
+    noise, sizes = engine.noise, []
+
+    def recording(*args):
+        for ens in noise(*args):
+            sizes.append(len(ens))
             yield ens
 
     engine.noise = recording
     for index in range(len(cfg.points)):
         sizes.clear()
-        run_point(cfg, index, engine=engine)
-        assert sizes[0] == chunk and sum(sizes) == cfg.trials
-    assert max(a.nbytes for a in stacked) <= experiments._CHUNK_BYTES
-    assert unions and max(products) <= experiments._CHUNK_BYTES
+        errs, fills = run_point(cfg, index, engine=engine)
+        assert sizes == [7, 7, 6]
+        truth = cfg.scenario_at(cfg.points[index]).angles
+        for t in range(cfg.trials):
+            en = next(noise(index, [t]))[0]
+            est = pick_peaks(Pseudospectrum(engine.grid, _spectrum(en, engine.steering)),
+                             len(truth), cfg.fov_deg)
+            assert rmse(est.angles, truth) == errs[t] and est.fill_count == fills[t]
 
 
 @pytest.mark.parametrize("cfg", [

@@ -247,6 +247,26 @@ def test_perturb_tabulated_gets_phase_noise_only():
     assert np.allclose(np.abs(evaluate(q, DENSE)), np.abs(evaluate(p, DENSE)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(tol=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       std=st.floats(-323.0, 300.0).map(lambda e: 10.0 ** e), k=st.integers(1, 4),
+       rows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_deviation_maps_raw_draws_as_uniform_and_normal(tol, std, k, rows, seed):
+    # a perturbation draws raw uniforms and standard normals and maps them
+    # itself, one element or a stack of elements at a time; every value must
+    # be what Generator.uniform(1 - tol, 1 + tol) and Generator.normal(0, std)
+    # give from the same generator state, bit for bit
+    pert = PatternPerturbation(phase_noise_std_deg=std, param_tolerance=tol)
+    raw, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    u, z = np.empty((rows, k)), np.empty((rows, 181))
+    for i in range(rows):
+        u[i], z[i] = raw.random(k), raw.standard_normal(181)
+    scales, noise = patterns._deviation(pert, u, z)
+    for i in range(rows):
+        assert np.array_equal(scales[i], ref.uniform(1.0 - tol, 1.0 + tol, k))
+        assert np.array_equal(noise[i], ref.normal(0.0, std, 181))
+
+
 # node azimuths (every integer degree, the ends included) and points between
 _AZIMUTHS = st.lists(st.one_of(st.integers(-90, 90).map(float),
                                st.floats(-90.0, 90.0, allow_nan=False)),
