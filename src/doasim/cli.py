@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from ._files import csv_text, write_text
 from .config import parse_config, write_results
 from .estimators import RankError
 from .experiments import ConfigError, run_overloaded_demo, run_sweep
@@ -55,15 +56,11 @@ def _cmd_demo(args) -> int:
     meta = f"fingerprint={cfg.fingerprint()} seed={cfg.seed}"
 
     spec_path = out / f"{stem}_spectrum.csv"
-    db = spectrum.to_db()
-    rows = "\n".join(f"{float(a)!r},{float(v)!r}"
-                     for a, v in zip(spectrum.grid, db))
-    spec_path.write_text(f"azimuth_deg,power_db\n# {meta}\n{rows}\n")
-
+    write_text(spec_path, csv_text("azimuth_deg,power_db", meta, zip(
+        spectrum.grid.tolist(), spectrum.to_db().tolist())), "spectrum")
     est_path = out / f"{stem}_estimates.csv"
-    est_rows = "\n".join(f"{float(a)!r},{int(f)}" for a, f in
-                         zip(estimates.angles, estimates.filled))
-    est_path.write_text(f"angle_deg,filled\n# {meta}\n{est_rows}\n")
+    write_text(est_path, csv_text("angle_deg,filled", meta, zip(
+        estimates.angles, map(int, estimates.filled))), "estimates")
 
     svg_path = out / f"{stem}.svg"
     render_plot(spectrum, svg_path, title=f"{len(estimates.angles)} sources, "

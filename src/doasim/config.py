@@ -8,8 +8,9 @@ mismatches are reported with the offending line.
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import re
 
+from ._files import csv_text, read_text, write_text
 from .experiments import ConfigError, ExperimentConfig, SweepResult
 
 
@@ -60,13 +61,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def parse_config(source) -> ExperimentConfig:
     """Parse a config from a path or a file-like object."""
-    if hasattr(source, "read"):
-        return parse_config_text(source.read())
-    path = Path(source)
     try:
-        text = path.read_text()
+        text = read_text(source, "config")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise ConfigError(str(exc)) from None
     return parse_config_text(text)
 
 
@@ -76,26 +74,40 @@ def serialize_config(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+RESULTS_HEADER = "param,rmse_deg,trials,fill_count"
+
+
 def write_results(result: SweepResult, destination) -> None:
-    """Write a sweep result CSV; I/O failures name the path."""
-    text = result.to_csv_text()
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    path = Path(destination)
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from None
+    """Write a sweep result CSV, to a path or a file-like object: the header,
+    a `# fingerprint=... seed=...` line and one row per point, its floats
+    repr'd so that read_results reads them back bit for bit."""
+    rows = zip(result.params, result.rmse_deg, map(int, result.trials),
+               map(int, result.fill_counts))
+    text = csv_text(RESULTS_HEADER,
+                    f"fingerprint={result.fingerprint} seed={result.seed}", rows)
+    write_text(destination, text, "results")
 
 
 def read_results(source) -> SweepResult:
-    """Read a sweep result CSV written by write_results."""
-    if hasattr(source, "read"):
-        return SweepResult.from_csv_text(source.read())
-    path = Path(source)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise OSError(f"cannot read results from {path}: {exc}") from None
-    return SweepResult.from_csv_text(text)
+    """Read a sweep result CSV written by write_results, from a path or a
+    file-like object; a wrong header or a row without 4 fields is a
+    ValueError."""
+    lines = [ln for ln in read_text(source, "results").splitlines() if ln.strip()]
+    if not lines or lines[0] != RESULTS_HEADER:
+        raise ValueError(f"first line must be {RESULTS_HEADER!r}")
+    fingerprint, seed = "", 0
+    rows = []
+    for ln in lines[1:]:
+        if ln.startswith("#"):
+            m = re.search(r"fingerprint=(\S+)\s+seed=(\d+)", ln)
+            if m:
+                fingerprint, seed = m.group(1), int(m.group(2))
+            continue
+        parts = ln.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"bad result row: {ln!r}")
+        rows.append((float(parts[0]), float(parts[1]), int(parts[2]), int(parts[3])))
+    # the columns of the rows; four empty columns when there are none
+    params, rmse_deg, trials, fill_counts = tuple(zip(*rows)) or ((),) * 4
+    return SweepResult(params=params, rmse_deg=rmse_deg, trials=trials,
+                       fill_counts=fill_counts, fingerprint=fingerprint, seed=seed)

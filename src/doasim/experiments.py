@@ -17,7 +17,6 @@ import hashlib
 import itertools
 import json
 import math
-import re
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -138,7 +137,8 @@ _SCALARS = {
                                               lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"),
     "snr_db": ("snr_db", _as_float, None, ""),
     "snapshots": ("snapshots", _as_int, lambda v: v >= 1, "must be >= 1"),
-    "trials": ("trials", _as_int, lambda v: v >= 1, "must be >= 1"),
+    # trial indices seed the streams as 32-bit words
+    "trials": ("trials", _as_int, lambda v: 1 <= v <= 2**32, "must be in [1, 2**32]"),
     "estimator": ("estimator", _as_str, lambda v: v in ESTIMATORS,
                   f"must be one of {', '.join(ESTIMATORS)}"),
     "fov_deg": ("fov_deg", _as_float, lambda v: 0.0 < v <= 90.0, "must be in (0, 90]"),
@@ -390,40 +390,6 @@ class SweepResult:
     fill_counts: tuple[int, ...]
     fingerprint: str = ""
     seed: int = 0
-
-    CSV_HEADER = "param,rmse_deg,trials,fill_count"
-
-    def to_csv_text(self) -> str:
-        lines = [self.CSV_HEADER,
-                 f"# fingerprint={self.fingerprint} seed={self.seed}"]
-        for p, r, t, f in zip(self.params, self.rmse_deg, self.trials,
-                              self.fill_counts):
-            lines.append(f"{p!r},{r!r},{t},{f}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "SweepResult":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != cls.CSV_HEADER:
-            raise ValueError(f"first line must be {cls.CSV_HEADER!r}")
-        fingerprint, seed = "", 0
-        rows = []
-        for ln in lines[1:]:
-            if ln.startswith("#"):
-                m = re.search(r"fingerprint=(\S+)\s+seed=(\d+)", ln)
-                if m:
-                    fingerprint, seed = m.group(1), int(m.group(2))
-                continue
-            parts = ln.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"bad result row: {ln!r}")
-            rows.append((float(parts[0]), float(parts[1]), int(parts[2]),
-                         int(parts[3])))
-        return cls(params=tuple(r[0] for r in rows),
-                   rmse_deg=tuple(r[1] for r in rows),
-                   trials=tuple(r[2] for r in rows),
-                   fill_counts=tuple(r[3] for r in rows),
-                   fingerprint=fingerprint, seed=seed)
 
 
 # numpy's SeedSequence (NEP 19) hashes 32-bit entropy words into a pool of 4

@@ -13,9 +13,10 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
+
+from ._files import csv_text, read_text, write_text
 
 # floor for cosine factors inside dB expressions; keeps endfire finite
 _COS_FLOOR = 1e-3
@@ -320,10 +321,7 @@ def load_tabulated(source) -> ElementPattern:
     in-domain lookup interpolates rather than extrapolates. Errors carry the
     offending line number.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text().splitlines()
+    lines = read_text(source, "pattern table").splitlines()
     if not lines or lines[0].strip() != TABLE_HEADER:
         raise TableError(f"line 1: header must be {TABLE_HEADER!r}")
     rows = []
@@ -358,8 +356,4 @@ def export_tabulated(pattern: ElementPattern, destination, step_deg: float = 1.0
         g = evaluate(pattern, az)
         rows = [(float(a), float(20.0 * np.log10(np.abs(v))),
                  float(np.rad2deg(np.angle(v)))) for a, v in zip(az, g)]
-    text = "\n".join([TABLE_HEADER] + [f"{a!r},{d!r},{p!r}" for a, d, p in rows]) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text)
+    write_text(destination, csv_text(TABLE_HEADER, None, rows), "pattern table")

@@ -7,10 +7,10 @@ single standalone .svg file.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 
+from ._files import write_text
 from .estimators import Pseudospectrum
 from .experiments import SweepResult
 
@@ -179,8 +179,4 @@ def render_plot(data, destination, *, title: str = "", x_label: str = "",
                f'{(_MT + _H - _MB) / 2:.0f})">{escape(y_label)}</text>')
     out.append("</svg>")
 
-    text = "\n".join(out) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text)
+    write_text(destination, "\n".join(out) + "\n", "plot")

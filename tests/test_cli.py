@@ -199,14 +199,16 @@ def test_sweep_bad_pattern_table_exits_2(tmp_path, capsys, table):
     assert not out.exists()
 
 
-def test_sweep_failing_at_run_time_exits_3_and_writes_nothing(tmp_path):
-    # a trial count too large for the results array passes the parser and
-    # fails once the sweep runs; the output directory is made only after it
+def test_sweep_trials_past_2_32_exits_2_and_writes_nothing(tmp_path, capsys):
+    # trial indices seed the streams as 32-bit words, so a larger trial count
+    # could never run; it is rejected at parse time, before the engine is
+    # built or the output directory is made
     conf = tmp_path / "huge.conf"
     conf.write_text("family = fixed-scenario\ngeometry = ula8\n"
                     "manifold.pattern = isotropic\ntrials = 1000000000000000000\n")
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 3
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
+    assert "line 4: key 'trials'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -219,7 +221,7 @@ def test_sweep_out_of_memory_exits_3_and_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_sweep", out_of_memory)
     conf = tmp_path / "sweep.conf"
     conf.write_text("family = fixed-scenario\ngeometry = ula8\n"
-                    "manifold.pattern = isotropic\ntrials = 1000000000000\n")
+                    "manifold.pattern = isotropic\ntrials = 4\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 3
     assert not out.exists()

@@ -171,7 +171,7 @@ _OUT_OF_RANGE = {
     "snr_db": (st.floats(max_value=MIN_LEVEL_DB, exclude_max=True)
                | st.floats(min_value=MAX_LEVEL_DB, exclude_min=True)),
     "snapshots": st.integers(max_value=0),
-    "trials": st.integers(max_value=0),
+    "trials": st.integers(max_value=0) | st.integers(min_value=2**32 + 1),
     "estimator": st.text(min_size=1).filter(lambda e: e not in ESTIMATORS),
     "fov_deg": st.floats(max_value=0.0) | st.floats(min_value=90.0, exclude_min=True),
     "grid_step_deg": st.floats(max_value=MIN_STEP_DEG, exclude_max=True),
@@ -359,10 +359,12 @@ def test_results_io_errors_name_path(tmp_path):
 def test_empty_sweep_result_serializes():
     empty = SweepResult(params=(), rmse_deg=(), trials=(), fill_counts=(),
                         fingerprint="f", seed=0)
-    text = empty.to_csv_text()
+    buf = io.StringIO()
+    write_results(empty, buf)
+    text = buf.getvalue()
     assert text.splitlines() == ["param,rmse_deg,trials,fill_count",
                                  "# fingerprint=f seed=0"]
-    assert SweepResult.from_csv_text(text) == empty
+    assert read_results(io.StringIO(text)) == empty
 
 
 def test_config_unparsed_value_is_string():

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from doasim import estimators, experiments
+from doasim.config import read_results, write_results
 from doasim.estimators import (Pseudospectrum, _spectrum, azimuth_grid, coarray_music,
                                fov_window, music_pseudospectrum, pick_peaks)
 from doasim.experiments import (ESTIMATORS, ConfigError, ExperimentConfig,
@@ -189,7 +191,13 @@ def test_run_sweep_deterministic():
     a = run_sweep(cfg)
     b = run_sweep(cfg)
     assert a == b
-    assert a.to_csv_text() == b.to_csv_text()
+    assert _csv_text(a) == _csv_text(b)
+
+
+def _csv_text(result: SweepResult) -> str:
+    buf = io.StringIO()
+    write_results(result, buf)
+    return buf.getvalue()
 
 
 def _coupled_sweep(**overrides) -> ExperimentConfig:
@@ -682,10 +690,10 @@ def test_sweep_csv_roundtrip_bit_exact():
     cfg = _tiny_config(family="snr-sweep", angles=(-10.0, 10.0),
                        sweep=(-6.0, 0.0, 6.0), trials=2)
     result = run_sweep(cfg)
-    text = result.to_csv_text()
-    back = SweepResult.from_csv_text(text)
+    text = _csv_text(result)
+    back = read_results(io.StringIO(text))
     assert back == result
-    assert back.to_csv_text() == text
+    assert _csv_text(back) == text
     lines = text.splitlines()
     assert lines[0] == "param,rmse_deg,trials,fill_count"
     assert lines[1].startswith("#")
@@ -694,9 +702,9 @@ def test_sweep_csv_roundtrip_bit_exact():
 
 def test_sweep_csv_errors():
     with pytest.raises(ValueError):
-        SweepResult.from_csv_text("wrong,header\n")
+        read_results(io.StringIO("wrong,header\n"))
     with pytest.raises(ValueError):
-        SweepResult.from_csv_text("param,rmse_deg,trials,fill_count\n1,2,3\n")
+        read_results(io.StringIO("param,rmse_deg,trials,fill_count\n1,2,3\n"))
 
 
 def test_overloaded_demo_runs_and_is_deterministic():
