@@ -40,11 +40,12 @@ class RankError(ValueError):
     """Source count incompatible with the available (virtual) aperture."""
 
 
-def azimuth_grid(step_deg: float = 0.01, fov_deg: float = 90.0) -> np.ndarray:
-    """Uniform scan grid over [-fov, +fov] degrees."""
-    if step_deg <= 0 or fov_deg <= 0 or fov_deg > 90:
-        raise ValueError(f"bad grid spec: step {step_deg}, fov {fov_deg}")
-    return np.linspace(-fov_deg, fov_deg, round(2.0 * fov_deg / step_deg) + 1)
+def azimuth_grid(step_deg: float = 0.01) -> np.ndarray:
+    """Uniform scan grid over [-90, +90] degrees; a narrower field of view
+    is a slice of it (fov_window), so every scan shares the same points."""
+    if step_deg <= 0:
+        raise ValueError(f"grid step must be > 0, got {step_deg}")
+    return np.linspace(-90.0, 90.0, round(180.0 / step_deg) + 1)
 
 
 def fov_window(grid: np.ndarray, fov_deg: float, guard: int = 0) -> slice:

@@ -683,19 +683,17 @@ def run_overloaded_demo(config: ExperimentConfig) -> tuple[Pseudospectrum, DoaEs
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """One-way free-space link parameters for the SNR-to-range mapping."""
+    """One-way free-space (impedance ETA_0) link for the SNR-to-range mapping."""
 
     transmit_power_w: float
     transmit_gain: float
     wavelength_m: float
     noise_power_w: float
-    impedance_ohm: float = ETA_0
 
     def __post_init__(self):
-        for name in ("transmit_power_w", "transmit_gain", "wavelength_m",
-                     "noise_power_w", "impedance_ohm"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("transmit_power_w", "transmit_gain", "wavelength_m", "noise_power_w"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 def snr_to_range(budget: LinkBudget, snr_linear: float) -> float:
@@ -705,10 +703,10 @@ def snr_to_range(budget: LinkBudget, snr_linear: float) -> float:
     density falls as 1/r^2, so r = sqrt(P_t G_t lam^2 /
     (16 pi^2 eta_0 P_N SNR)).
     """
-    if snr_linear <= 0:
-        raise ValueError(f"snr_linear must be > 0, got {snr_linear}")
+    if not 0.0 < snr_linear < math.inf:
+        raise ValueError(f"snr_linear must be finite and > 0, got {snr_linear}")
     num = budget.transmit_power_w * budget.transmit_gain * budget.wavelength_m ** 2
-    den = 16.0 * math.pi ** 2 * budget.impedance_ohm * budget.noise_power_w * snr_linear
+    den = 16.0 * math.pi ** 2 * ETA_0 * budget.noise_power_w * snr_linear
     return math.sqrt(num / den)
 
 
@@ -729,14 +727,17 @@ def required_snr_for_rmse(curve: SweepResult, target_rmse_deg: float) -> float:
     Only the high-SNR suffix on which the curve is non-increasing is used,
     which excludes the noisy low-SNR threshold region. Between grid points
     the curve is interpolated linearly in (SNR, log10 RMSE); an exact
-    grid-point hit returns that grid SNR.
+    grid-point hit returns that grid SNR, and so does a bracketing point of
+    RMSE 0, where log10 RMSE has no finite value to interpolate to.
     """
     snr = np.asarray(curve.params, dtype=float)
     err = np.asarray(curve.rmse_deg, dtype=float)
-    if snr.size < 2 or np.any(np.diff(snr) <= 0):
-        raise ValueError("curve needs >= 2 points with strictly increasing SNR")
-    if target_rmse_deg <= 0:
-        raise ValueError(f"target RMSE must be > 0, got {target_rmse_deg}")
+    if snr.size < 2 or not np.isfinite(snr).all() or np.any(np.diff(snr) <= 0):
+        raise ValueError("curve needs >= 2 points with finite, strictly increasing SNR")
+    if not np.all((err >= 0) & (err < math.inf)):
+        raise ValueError(f"curve RMSEs must be finite and >= 0, got {curve.rmse_deg}")
+    if not 0.0 < target_rmse_deg < math.inf:
+        raise ValueError(f"target RMSE must be finite and > 0, got {target_rmse_deg}")
 
     start = snr.size - 1
     while start > 0 and err[start - 1] >= err[start]:
@@ -747,7 +748,7 @@ def required_snr_for_rmse(curve: SweepResult, target_rmse_deg: float) -> float:
                          f"[{e[-1]:.6g}, {e[0]:.6g}] of the monotone curve segment")
     for i in range(e.size):
         if e[i] <= target_rmse_deg:
-            if e[i] == target_rmse_deg or i == 0:
+            if e[i] == target_rmse_deg or e[i] == 0 or i == 0:
                 return float(s[i])
             t = ((math.log10(target_rmse_deg) - math.log10(e[i - 1]))
                  / (math.log10(e[i]) - math.log10(e[i - 1])))

@@ -75,18 +75,15 @@ def _series_from(data) -> tuple[list[tuple[str, np.ndarray, np.ndarray]], str, s
     raise ValueError(f"cannot plot object of type {type(data).__name__}")
 
 
-def render_plot(data, destination, *, title: str = "", x_label: str = "",
-                y_label: str = "", marks=(), meta: str = "") -> None:
+def render_plot(data, destination, *, title: str = "", marks=(), meta: str = "") -> None:
     """Render sweep results or a pseudospectrum to an SVG file.
 
     data: SweepResult, dict of label -> SweepResult (overlaid, with a
-    legend), or Pseudospectrum. RMSE curves get a log y-axis; spectra are
-    drawn in dB. `marks` draws dashed vertical lines (e.g. estimates).
-    `meta` is embedded as an XML comment for provenance.
+    legend), or Pseudospectrum. RMSE curves get a log y-axis and spectra are
+    drawn in dB, each with its own axis labels. `marks` draws dashed
+    vertical lines (e.g. estimates). `meta` is embedded as an XML comment.
     """
-    series, y_mode, def_x, def_y = _series_from(data)
-    x_label = x_label or def_x
-    y_label = y_label or def_y
+    series, y_mode, x_label, y_label = _series_from(data)
 
     clean = []
     for label, x, y in series:

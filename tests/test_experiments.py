@@ -739,6 +739,11 @@ def test_snr_to_range_validation():
         snr_to_range(budget, -2.0)
     with pytest.raises(ValueError):
         LinkBudget(0.0, 1.0, 0.1, 1e-12)
+    with pytest.raises(ValueError, match="transmit_power_w"):
+        LinkBudget(math.nan, 1.0, 0.1, 1e-12)
+    for snr in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="snr_linear"):
+            snr_to_range(budget, snr)
 
 
 def test_range_ratio_values():
@@ -776,6 +781,9 @@ def test_required_snr_exact_grid_hit():
     curve = _curve((-10.0, -5.0, 0.0, 5.0), (3.0, 1.0, 0.1, 0.01))
     assert required_snr_for_rmse(curve, 0.1) == 0.0
     assert required_snr_for_rmse(curve, 3.0) == -10.0
+    # log10(0) has no finite value: a zero-RMSE bracketing point gives its own SNR
+    zero = _curve((-5.0, 0.0, 5.0), (1.0, 0.1, 0.0))
+    assert required_snr_for_rmse(zero, 0.05) == 5.0
 
 
 def test_required_snr_log_interpolation():
@@ -804,6 +812,12 @@ def test_required_snr_out_of_range():
         required_snr_for_rmse(_curve((1.0,), (0.1,)), 0.1)
     with pytest.raises(ValueError):
         required_snr_for_rmse(curve, 0.0)
+    with pytest.raises(ValueError, match="target RMSE"):
+        required_snr_for_rmse(curve, math.nan)
+    with pytest.raises(ValueError, match="SNR"):
+        required_snr_for_rmse(_curve((-5.0, math.nan, 5.0), (1.0, 0.1, 0.01)), 0.1)
+    with pytest.raises(ValueError, match="RMSEs"):
+        required_snr_for_rmse(_curve((-5.0, 0.0, 5.0), (1.0, math.nan, 0.01)), 0.1)
 
 
 def test_required_snr_plateau_returns_smallest():
