@@ -6,9 +6,9 @@ from .patterns import (ElementPattern, PatternError, PatternPerturbation,
                        TableError, evaluate, export_tabulated, load_tabulated,
                        make_dipole_ref, make_isotropic, make_patch, make_pattern,
                        make_vivaldi, perturb, perturbed_gains)
-from .manifold import (ArrayManifold, SourceScenario, apply_coupling_model,
-                       generate_snapshots, make_manifold, phase_ramp,
-                       sample_covariance, steering_matrix, steering_vector)
+from .manifold import (ArrayManifold, CouplingError, SourceScenario,
+                       apply_coupling_model, generate_snapshots, make_manifold,
+                       phase_ramp, sample_covariance, steering_matrix, steering_vector)
 from .estimators import (DoaEstimateSet, Pseudospectrum, RankError, azimuth_grid,
                          coarray_covariance, coarray_music, hermitian_eig,
                          music_pseudospectrum, pick_peaks, virtual_steering)

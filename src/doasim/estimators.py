@@ -43,8 +43,10 @@ class RankError(ValueError):
 def azimuth_grid(step_deg: float = 0.01) -> np.ndarray:
     """Uniform scan grid over [-90, +90] degrees; a narrower field of view
     is a slice of it (fov_window), so every scan shares the same points."""
-    if step_deg <= 0:
-        raise ValueError(f"grid step must be > 0, got {step_deg}")
+    # a step above 120 degrees gives fewer than the 3 points a Pseudospectrum
+    # needs; NaN fails the test too
+    if not 0.0 < step_deg <= 120.0:
+        raise ValueError(f"grid step must be in (0, 120] degrees, got {step_deg}")
     return np.linspace(-90.0, 90.0, round(180.0 / step_deg) + 1)
 
 

@@ -31,7 +31,7 @@ from .estimators import (_CHUNK_BYTES, _DENOM_FLOOR, DoaEstimateSet, Pseudospect
                          _spectrum, azimuth_grid, coarray_music, fov_window,
                          music_pseudospectrum, pick_peaks, virtual_steering)
 from .geometry import ArrayGeometry, GeometryError, is_perfect, named_geometry
-from .manifold import (SourceScenario, _synthesize, apply_coupling_model,
+from .manifold import (CouplingError, SourceScenario, _synthesize, apply_coupling_model,
                        generate_snapshots, make_manifold, phase_ramp, sample_covariance,
                        steering_matrix)
 from .patterns import (MIN_STEP_DEG, ElementPattern, PatternError, PatternPerturbation,
@@ -47,6 +47,10 @@ ETA_0 = 376.730
 # highest and lowest SNR or element gain a config may set, dB
 MAX_LEVEL_DB = 300.0
 MIN_LEVEL_DB = -300.0
+
+# most bytes one trial's draws (_trial_bytes) may take, 2**21 snapshots on 8
+# elements; checked at parse time, since a chunk holds at least one trial
+MAX_TRIAL_BYTES = 2**28
 
 _OVERLOADED_ANGLES = (-54.0, -42.0, -30.0, -18.0, -6.0, 6.0, 18.0, 30.0, 42.0, 54.0)
 
@@ -95,6 +99,12 @@ def _shown(v) -> str:
     return text if len(text) <= 80 else f"{text[:60]}... ({len(text)} characters)"
 
 
+def _trial_bytes(sources: int, elements: int, snapshots: int) -> int:
+    """Bytes of one trial's draws, and of its snapshots: max(L, N) * K
+    entries of 16 bytes, a complex number or a real and an imaginary draw."""
+    return 16 * max(sources, elements) * snapshots
+
+
 def _as_int(key, v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"key {key!r}: expected integer, got {_shown(v)}", key)
@@ -123,18 +133,14 @@ def _as_str(key, v) -> str:
 
 # config key -> (ExperimentConfig field, parser, valid range or None, range
 # text) for every scalar key, in the order the config file format lists
-# them. The coupling and perturbation ranges are the bounds
-# apply_coupling_model and PatternPerturbation enforce; the SNR's +-300 dB
-# limit is checked with the other levels.
+# them. apply_coupling_model and PatternPerturbation check the coupling and
+# perturbation ranges, the SNR's +-300 dB limit is checked with the other
+# levels, and a trial's bytes bound the snapshots from above.
 _SCALARS = {
-    "manifold.coupling.c1": ("coupling_c1", _as_float, lambda v: abs(v) < 1.0,
-                             "|c1| must be < 1"),
-    "manifold.coupling.decay": ("coupling_decay", _as_float, lambda v: 0.0 < v < 1.0,
-                                "must be in (0, 1)"),
-    "manifold.perturbation.phase_noise_std_deg": ("phase_noise_std_deg", _as_float,
-                                                  lambda v: v >= 0.0, "must be >= 0"),
-    "manifold.perturbation.param_tolerance": ("param_tolerance", _as_float,
-                                              lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"),
+    "manifold.coupling.c1": ("coupling_c1", _as_float, None, ""),
+    "manifold.coupling.decay": ("coupling_decay", _as_float, None, ""),
+    "manifold.perturbation.phase_noise_std_deg": ("phase_noise_std_deg", _as_float, None, ""),
+    "manifold.perturbation.param_tolerance": ("param_tolerance", _as_float, None, ""),
     "snr_db": ("snr_db", _as_float, None, ""),
     "snapshots": ("snapshots", _as_int, lambda v: v >= 1, "must be >= 1"),
     # trial indices seed the streams as 32-bit words
@@ -159,7 +165,9 @@ class ExperimentConfig:
 
     Every value is parsed, checked finite and range-checked here, whether
     the config comes from a file (`from_mapping`) or is built directly; a
-    ConfigError names the offending key.
+    ConfigError names the offending key. The geometry, the pattern, the
+    perturbation and the coupling matrix are built here once, through the
+    constructors that own their ranges, and every engine reads them.
     """
 
     family: str
@@ -195,6 +203,11 @@ class ExperimentConfig:
             if valid is not None and not valid(value):
                 raise ConfigError(f"key {key!r}: {text}, got {_shown(value)}", key)
             object.__setattr__(self, attr, value)
+        try:
+            perturbation = PatternPerturbation(self.phase_noise_std_deg, self.param_tolerance)
+        except PatternError as exc:
+            key = f"manifold.perturbation.{exc.param}"
+            raise ConfigError(f"key {key!r}: {exc}", key) from None
         object.__setattr__(self, "pattern", _as_str("manifold.pattern", self.pattern))
         object.__setattr__(self, "pattern_params", {
             k: (_as_str if k == "file" else _as_float)(f"manifold.pattern.{k}", v)
@@ -244,16 +257,27 @@ class ExperimentConfig:
                                   "angles")
 
         need = max(3, self.source_count)
-        grid = azimuth_grid(self.grid_step_deg)
+        try:
+            grid = azimuth_grid(self.grid_step_deg)
+        except ValueError as exc:
+            raise ConfigError(f"key 'grid_step_deg': {exc}", "grid_step_deg") from None
         window = grid[fov_window(grid, self.fov_deg)]
         if window.size < need:
             raise ConfigError(f"key 'grid_step_deg': the +-{self.fov_deg:g} deg pick "
                               f"window of a {self.grid_step_deg:g} deg grid holds "
                               f"{window.size} points, need at least {need}", "grid_step_deg")
 
-        # estimator/geometry compatibility, checked before any trial runs
-        geom = self.resolve_geometry()
+        try:
+            geom = named_geometry(self.geometry)
+        except GeometryError as exc:
+            raise ConfigError(f"key 'geometry': {exc}", "geometry") from None
         l = self.source_count
+        if _trial_bytes(l, geom.element_count, self.snapshots) > MAX_TRIAL_BYTES:
+            raise ConfigError(f"key 'snapshots': {_shown(self.snapshots)} snapshots of "
+                              f"max(sources, elements) = {max(l, geom.element_count)} "
+                              f"rows take more than the {MAX_TRIAL_BYTES} bytes one "
+                              f"trial may use", "snapshots")
+        # estimator/geometry compatibility, checked before any trial runs
         if self.estimator == "element-music" and l >= geom.element_count:
             raise ConfigError(f"element-music handles at most "
                               f"{geom.element_count - 1} sources on "
@@ -298,9 +322,18 @@ class ExperimentConfig:
                 key = f"manifold.pattern.{exponent}"
                 raise ConfigError(f"key {key!r}: the gain falls below -3000 dBi "
                                   f"inside +-{self.fov_deg:g} deg", key)
-        # validated once here; a tabulated pattern keeps the rows read here,
-        # which the fingerprint hashes
+        try:
+            coupling = apply_coupling_model(make_manifold(geom, pattern), self.coupling_c1,
+                                            self.coupling_decay).coupling
+        except CouplingError as exc:
+            key = f"manifold.coupling.{exc.param}"
+            raise ConfigError(f"key {key!r}: {exc}", key) from None
+        # built once here and read by every engine of this config; a tabulated
+        # pattern keeps the rows read here, which the fingerprint hashes
+        object.__setattr__(self, "_geometry", geom)
         object.__setattr__(self, "_pattern", pattern)
+        object.__setattr__(self, "_perturbation", perturbation)
+        object.__setattr__(self, "_coupling", coupling)
 
     @property
     def source_count(self) -> int:
@@ -321,16 +354,13 @@ class ExperimentConfig:
         return SourceScenario(self.angles, self.snr_db)
 
     def resolve_geometry(self) -> ArrayGeometry:
-        try:
-            return named_geometry(self.geometry)
-        except GeometryError as exc:
-            raise ConfigError(f"key 'geometry': {exc}", "geometry") from None
+        return self._geometry
 
     def nominal_pattern(self) -> ElementPattern:
         return self._pattern
 
     def perturbation(self) -> PatternPerturbation:
-        return PatternPerturbation(self.phase_noise_std_deg, self.param_tolerance)
+        return self._perturbation
 
     def to_mapping(self) -> dict:
         """Flat dotted-key mapping mirroring the config file format."""
@@ -521,9 +551,7 @@ class _TrialEngine:
             self.steering = virtual_steering(self.geometry.aperture, self.grid)
         else:
             self.steering = steering_matrix(self.nominal, self.grid)
-        coupled = apply_coupling_model(self.nominal, config.coupling_c1,
-                                       config.coupling_decay)
-        self.coupling = coupled.coupling
+        self.coupling = config._coupling
 
     @functools.cached_property
     def search(self) -> _PeakSearch:
@@ -552,14 +580,13 @@ class _TrialEngine:
     def _chunk(self, sources: int) -> int:
         """Trials per chunk: at most _SEED_CHUNK, and few enough that no
         stacked array of the chunk passes _CHUNK_BYTES. Per trial, the draws
-        and snapshots take max(L, N) * T entries of 16 bytes (a complex number,
-        or a real and an imaginary draw), and the search's float rows
+        and snapshots take _trial_bytes, and the search's float rows
         _PeakSearch.row_bytes of the table. Not counted: the search's bound
         and union products, run in groups of rows of at most half of
         _CHUNK_BYTES whatever their width (_grouped_denominators), and one
         trial's full scan, (rows - L) * columns * itemsize bytes: 2,016,112
         for ten sources on mra8's coarray at 0.01 degree steps."""
-        per_trial = max(16 * max(sources, self.geometry.element_count) * self.cfg.snapshots,
+        per_trial = max(_trial_bytes(sources, self.geometry.element_count, self.cfg.snapshots),
                         _PeakSearch.row_bytes(self.steering))
         return max(1, min(_SEED_CHUNK, _CHUNK_BYTES // per_trial))
 
@@ -732,6 +759,8 @@ def required_snr_for_rmse(curve: SweepResult, target_rmse_deg: float) -> float:
     """
     snr = np.asarray(curve.params, dtype=float)
     err = np.asarray(curve.rmse_deg, dtype=float)
+    if snr.shape != err.shape:
+        raise ValueError(f"curve has {snr.size} SNRs but {err.size} RMSEs")
     if snr.size < 2 or not np.isfinite(snr).all() or np.any(np.diff(snr) <= 0):
         raise ValueError("curve needs >= 2 points with finite, strictly increasing SNR")
     if not np.all((err >= 0) & (err < math.inf)):

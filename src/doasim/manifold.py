@@ -19,6 +19,14 @@ from .geometry import ArrayGeometry
 from .patterns import ElementPattern, evaluate
 
 
+class CouplingError(ValueError):
+    """Invalid coupling model parameters; `param` names the offending parameter."""
+
+    def __init__(self, message: str, param: str):
+        super().__init__(message)
+        self.param = param
+
+
 @dataclass(frozen=True)
 class ArrayManifold:
     """Geometry plus one pattern per element plus optional coupling."""
@@ -85,12 +93,14 @@ def apply_coupling_model(manifold: ArrayManifold, c1: complex,
 
     C[i][j] = c1 * decay**(|p_i - p_j| - 1) off the diagonal, 1 on it.
     Adjacent (spacing 1) elements couple with strength c1; wider spacings
-    decay geometrically. c1 = 0 means no coupling.
+    decay geometrically. c1 = 0 means no coupling. A CouplingError names
+    the parameter out of range.
     """
-    if abs(c1) >= 1.0:
-        raise ValueError(f"|c1| must be < 1, got {abs(c1)}")
+    # NaN fails both tests too
+    if not abs(c1) < 1.0:
+        raise CouplingError(f"|c1| must be < 1, got {abs(c1)}", "c1")
     if not 0.0 < decay < 1.0:
-        raise ValueError(f"decay must be in (0, 1), got {decay}")
+        raise CouplingError(f"decay must be in (0, 1), got {decay}", "decay")
     if c1 == 0:
         return ArrayManifold(manifold.geometry, manifold.element_patterns)
     pos = np.asarray(manifold.geometry.positions)

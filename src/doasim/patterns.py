@@ -73,10 +73,13 @@ class PatternPerturbation:
     param_tolerance: float = 0.0
 
     def __post_init__(self):
-        if self.phase_noise_std_deg < 0:
-            raise PatternError("phase_noise_std_deg must be >= 0")
+        # NaN fails both tests too
+        if not 0.0 <= self.phase_noise_std_deg < math.inf:
+            raise PatternError(f"phase_noise_std_deg must be finite and >= 0, got "
+                               f"{self.phase_noise_std_deg}", "phase_noise_std_deg")
         if not 0.0 <= self.param_tolerance < 1.0:
-            raise PatternError("param_tolerance must be in [0, 1)")
+            raise PatternError(f"param_tolerance must be in [0, 1), got "
+                               f"{self.param_tolerance}", "param_tolerance")
 
     @property
     def is_zero(self) -> bool:

@@ -13,8 +13,9 @@ from hypothesis import assume, given, settings, strategies as st
 from doasim.config import (parse_config, parse_config_text, read_results,
                            serialize_config, write_results)
 from doasim.cli import main
-from doasim.experiments import (_SCALARS, ESTIMATORS, MAX_LEVEL_DB, MIN_LEVEL_DB, ConfigError,
-                                ExperimentConfig, SweepResult, run_point)
+from doasim.experiments import (_SCALARS, ESTIMATORS, MAX_LEVEL_DB, MAX_TRIAL_BYTES,
+                                MIN_LEVEL_DB, ConfigError, ExperimentConfig, SweepResult,
+                                run_point)
 from doasim.patterns import MIN_STEP_DEG
 
 SAMPLE = """\
@@ -170,7 +171,9 @@ _OUT_OF_RANGE = {
     "manifold.perturbation.param_tolerance": _BELOW_0 | st.floats(min_value=1.0),
     "snr_db": (st.floats(max_value=MIN_LEVEL_DB, exclude_max=True)
                | st.floats(min_value=MAX_LEVEL_DB, exclude_min=True)),
-    "snapshots": st.integers(max_value=0),
+    # a trial of more than MAX_TRIAL_BYTES // 16 snapshots passes the bound
+    # on any array
+    "snapshots": st.integers(max_value=0) | st.integers(min_value=MAX_TRIAL_BYTES // 16 + 1),
     "trials": st.integers(max_value=0) | st.integers(min_value=2**32 + 1),
     "estimator": st.text(min_size=1).filter(lambda e: e not in ESTIMATORS),
     "fov_deg": st.floats(max_value=0.0) | st.floats(min_value=90.0, exclude_min=True),
@@ -274,6 +277,21 @@ def test_file_and_constructor_reject_geometry_alike(geometry):
     fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     assert _rejected_key(lambda: parse_config_text(text)) == "geometry"
     assert _rejected_key(lambda: ExperimentConfig(**{**fields, "geometry": geometry})) == "geometry"
+
+
+@pytest.mark.parametrize("geometry, angles, rows", [
+    ("ula8", (-10.0, 10.0), 8), ("mra8", tuple(range(-45, 46, 10)), 10)])
+def test_snapshots_bounded_by_trial_bytes(geometry, angles, rows):
+    # parsed only: one trial's draws, 16 * max(sources, elements) * snapshots
+    # bytes, may take MAX_TRIAL_BYTES and no more; the engine is never built
+    base = dict(family="fixed-scenario", geometry=geometry, pattern="isotropic",
+                angles=angles, estimator="coarray-music" if rows > 8 else "element-music")
+    most = MAX_TRIAL_BYTES // (16 * rows)
+    assert ExperimentConfig(**base, snapshots=most).snapshots == most
+    with pytest.raises(ConfigError, match=f"key 'snapshots': {most + 1} snapshots .* = "
+                                          f"{rows} rows") as info:
+        ExperimentConfig(**base, snapshots=most + 1)
+    assert info.value.key == "snapshots"
 
 
 def test_readme_library_quick_start_runs(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -35,8 +37,16 @@ def test_sample_covariance_is_exactly_hermitian(x):
     # covariance is Hermitian bit for bit
     r = sample_covariance(x)
     assert np.array_equal(r, r.conj().T)
-    for ours, bare in zip(hermitian_eig(r), np.linalg.eigh(r)):
-        assert np.array_equal(ours, bare)
+    try:
+        bare = np.linalg.eigh(r)
+    except np.linalg.LinAlgError:
+        # LAPACK does not converge on some draws mixing 1e-237 and 1e99
+        # entries; hermitian_eig, on the same matrix, must fail alike
+        with pytest.raises(np.linalg.LinAlgError):
+            hermitian_eig(r)
+    else:
+        for ours, b in zip(hermitian_eig(r), bare):
+            assert np.array_equal(ours, b)
     # the sweep engine forms a chunk's covariances as one stack; each must be
     # its slice's covariance bit for bit, wherever the slice sits
     stack = sample_covariance(np.stack([x[::-1], x, 3.0 * x]))
@@ -482,6 +492,15 @@ def test_azimuth_grid_defaults():
     assert g[0] == -90.0 and g[-1] == 90.0
     with pytest.raises(ValueError):
         azimuth_grid(0.0)
+
+
+def test_azimuth_grid_needs_three_points():
+    # 120 deg is the widest step whose grid holds the 3 points a
+    # Pseudospectrum needs; a wider, infinite or NaN step is rejected, naming it
+    assert np.array_equal(azimuth_grid(120.0), [-90.0, 0.0, 90.0])
+    for step in (200.0, math.inf, math.nan, 120.5):
+        with pytest.raises(ValueError, match=f"got {step}"):
+            azimuth_grid(step)
 
 
 # ------------------------------------------------------------ pruned search

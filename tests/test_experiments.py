@@ -94,7 +94,8 @@ def test_config_rejects_too_coarse_grid():
                      grid_step_deg=15.0)
     # three points (-90, 0, 90) are the fewest any scan accepts
     assert _tiny_config(grid_step_deg=90.0, angles=(0.0,)).grid_step_deg == 90.0
-    with pytest.raises(ConfigError, match="holds 2 points"):
+    # a step above 120 deg gives fewer, and azimuth_grid rejects it
+    with pytest.raises(ConfigError, match=r"grid_step_deg.*\(0, 120\]"):
         _tiny_config(grid_step_deg=180.0, angles=(0.0,))
 
 
@@ -246,6 +247,34 @@ def test_run_sweep_builds_one_engine(monkeypatch):
     monkeypatch.setattr(experiments, "_TrialEngine", CountingEngine)
     run_sweep(_coupled_sweep())
     assert len(built) == 1
+
+
+def test_config_builds_nonideality_objects_once(monkeypatch):
+    # the geometry, the perturbation and the coupling are built by their
+    # owners once, when the config is; neither the engine nor the sweep
+    # builds them again
+    calls = []
+
+    def counting(name):
+        original = getattr(experiments, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, wrapper)
+
+    for name in ("named_geometry", "PatternPerturbation", "apply_coupling_model"):
+        counting(name)
+    cfg = _coupled_sweep()
+    assert sorted(calls) == ["PatternPerturbation", "apply_coupling_model", "named_geometry"]
+    calls.clear()
+    engine = experiments._TrialEngine(cfg)
+    run_point(cfg, 0, engine=engine)
+    run_sweep(cfg)
+    assert calls == []
+    assert engine.coupling is cfg._coupling is not None
+    assert engine.perturbation is cfg.perturbation()
+    assert engine.geometry is cfg.resolve_geometry()
 
 
 def test_coarray_run_point_checks_geometry_at_most_once(monkeypatch):
@@ -818,6 +847,14 @@ def test_required_snr_out_of_range():
         required_snr_for_rmse(_curve((-5.0, math.nan, 5.0), (1.0, 0.1, 0.01)), 0.1)
     with pytest.raises(ValueError, match="RMSEs"):
         required_snr_for_rmse(_curve((-5.0, 0.0, 5.0), (1.0, math.nan, 0.01)), 0.1)
+
+
+def test_required_snr_rejects_mismatched_lengths():
+    # SweepResult checks nothing; the helper names both lengths
+    curve = SweepResult(params=(0.0, 5.0, 10.0), rmse_deg=(1.0, 0.1), trials=(100,) * 3,
+                        fill_counts=(0,) * 3)
+    with pytest.raises(ValueError, match="3 SNRs but 2 RMSEs"):
+        required_snr_for_rmse(curve, 0.5)
 
 
 def test_required_snr_plateau_returns_smallest():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from doasim.geometry import make_mra, make_ula
-from doasim.manifold import (ArrayManifold, SourceScenario, _synthesize,
+from doasim.manifold import (ArrayManifold, CouplingError, SourceScenario, _synthesize,
                              apply_coupling_model, generate_snapshots, make_manifold,
                              sample_covariance, steering_matrix, steering_vector)
 from doasim.patterns import make_dipole_ref, make_isotropic, make_patch
@@ -79,6 +79,18 @@ def test_coupling_validation():
         apply_coupling_model(base, 0.3, 0.0)
     with pytest.raises(ValueError):
         apply_coupling_model(base, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("c1, decay, param", [
+    (float("nan"), 0.5, "c1"), (complex(float("nan"), 0.0), 0.5, "c1"),
+    (float("inf"), 0.5, "c1"), (1.5, 0.5, "c1"), (0.3, float("nan"), "decay"),
+    (0.0, float("inf"), "decay"), (0.0, 0.0, "decay")])
+def test_coupling_rejects_non_finite_and_names_it(c1, decay, param):
+    # the one owner of the coupling ranges: a NaN c1 fails the range test,
+    # not the reciprocity check, and the error names the parameter
+    with pytest.raises(CouplingError, match=param) as info:
+        apply_coupling_model(_iso(make_ula(3)), c1, decay)
+    assert info.value.param == param
 
 
 def test_sparse_layout_couples_less():

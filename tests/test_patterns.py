@@ -238,6 +238,18 @@ def test_perturbation_validation():
         PatternPerturbation(param_tolerance=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("phase_noise_std_deg", math.nan), ("phase_noise_std_deg", math.inf),
+    ("phase_noise_std_deg", -1.0), ("param_tolerance", math.nan),
+    ("param_tolerance", math.inf), ("param_tolerance", -0.1)])
+def test_perturbation_rejects_non_finite_and_names_it(field, value):
+    # the one owner of the perturbation ranges: NaN and infinities fail too,
+    # and the error names the parameter, which a config maps to its key
+    with pytest.raises(PatternError, match=field) as info:
+        PatternPerturbation(**{field: value})
+    assert info.value.param == field
+
+
 def test_perturb_tabulated_gets_phase_noise_only():
     p = load_tabulated(io.StringIO(_small_table()))
     pert = PatternPerturbation(phase_noise_std_deg=2.0, param_tolerance=0.2)
