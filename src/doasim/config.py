@@ -1,9 +1,11 @@
 """Experiment config files: flat `key = value` text with dotted sections.
 
 Values use JSON literals where it matters (numbers, lists); bare words
-are taken as strings so `geometry = mra8` works without quotes. Comments
-start with '#'. Parsing is strict: unknown keys, duplicate keys, and type
-mismatches are reported with the offending line.
+are taken as strings so `geometry = mra8` works without quotes. A line
+whose first non-blank character is '#' is a comment; a '#' anywhere else
+is part of the value, so `snr_db = -5  # dB` is not a number. Parsing is
+strict: unknown keys, duplicate keys, and type mismatches are reported with
+the offending line.
 """
 from __future__ import annotations
 
@@ -20,12 +22,6 @@ def _parse_value(raw: str):
         return json.loads(raw)
     except ValueError:  # not JSON, or an integer past Python's digit limit
         return raw
-
-
-def _render_value(v) -> str:
-    if isinstance(v, str):
-        return v
-    return json.dumps(v)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -69,8 +65,10 @@ def parse_config(source) -> ExperimentConfig:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Render a config as parseable text; parse/serialize round-trips."""
-    lines = [f"{k} = {_render_value(v)}" for k, v in config.to_mapping().items()]
+    """Render a config as parseable text; parse/serialize round-trips. Every
+    value is written as JSON, so a string keeps its quotes: `"123"` stays a
+    string and `" a.csv"` keeps its leading space."""
+    lines = [f"{k} = {json.dumps(v)}" for k, v in config.to_mapping().items()]
     return "\n".join(lines) + "\n"
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .geometry import ArrayGeometry, GeometryError, is_perfect
 from .manifold import ArrayManifold, steering_matrix
+from .patterns import MIN_STEP_DEG
 
 # spectrum denominators are clamped here before inversion
 _DENOM_FLOOR = 1e-300
@@ -43,10 +44,12 @@ class RankError(ValueError):
 def azimuth_grid(step_deg: float = 0.01) -> np.ndarray:
     """Uniform scan grid over [-90, +90] degrees; a narrower field of view
     is a slice of it (fov_window), so every scan shares the same points."""
-    # a step above 120 degrees gives fewer than the 3 points a Pseudospectrum
-    # needs; NaN fails the test too
-    if not 0.0 < step_deg <= 120.0:
-        raise ValueError(f"grid step must be in (0, 120] degrees, got {step_deg}")
+    # a step below MIN_STEP_DEG gives a grid of millions of points, and one
+    # above 120 degrees fewer than the 3 a Pseudospectrum needs; NaN fails the
+    # test too
+    if not MIN_STEP_DEG <= step_deg <= 120.0:
+        raise ValueError(f"grid step must be in [{MIN_STEP_DEG:g}, 120] degrees, "
+                         f"got {step_deg}")
     return np.linspace(-90.0, 90.0, round(180.0 / step_deg) + 1)
 
 

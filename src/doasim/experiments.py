@@ -12,6 +12,7 @@ the nominal manifold. That asymmetry is the calibration-mismatch model.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -34,8 +35,8 @@ from .geometry import ArrayGeometry, GeometryError, is_perfect, named_geometry
 from .manifold import (CouplingError, SourceScenario, _synthesize, apply_coupling_model,
                        generate_snapshots, make_manifold, phase_ramp, sample_covariance,
                        steering_matrix)
-from .patterns import (MIN_STEP_DEG, ElementPattern, PatternError, PatternPerturbation,
-                       TableError, evaluate, make_pattern, perturb, perturbed_gains)
+from .patterns import (ElementPattern, PatternError, PatternPerturbation, TableError,
+                       evaluate, make_pattern, perturb, perturbed_gains)
 
 FAMILIES = ("symmetric-pair-angle-sweep", "snr-sweep", "fixed-scenario",
             "overloaded-demo")
@@ -131,11 +132,26 @@ def _as_str(key, v) -> str:
     return v
 
 
+@contextlib.contextmanager
+def _keyed(key: str, *errors):
+    """Re-raise one of `errors` from the owner of a rule as a ConfigError
+    naming `key`, or `key.<param>` when the error names its parameter; a
+    ConfigError passes through unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except errors as exc:
+        param = getattr(exc, "param", None)
+        name = f"{key}.{param}" if param else key
+        raise ConfigError(f"key {name!r}: {exc}", name) from None
+
+
 # config key -> (ExperimentConfig field, parser, valid range or None, range
 # text) for every scalar key, in the order the config file format lists
-# them. apply_coupling_model and PatternPerturbation check the coupling and
-# perturbation ranges, the SNR's +-300 dB limit is checked with the other
-# levels, and a trial's bytes bound the snapshots from above.
+# them. A key without a range here is checked by its owner (azimuth_grid,
+# PatternPerturbation, apply_coupling_model) or with the other dB levels
+# (snr_db); a trial's bytes bound the snapshots from above.
 _SCALARS = {
     "manifold.coupling.c1": ("coupling_c1", _as_float, None, ""),
     "manifold.coupling.decay": ("coupling_decay", _as_float, None, ""),
@@ -148,8 +164,7 @@ _SCALARS = {
     "estimator": ("estimator", _as_str, lambda v: v in ESTIMATORS,
                   f"must be one of {', '.join(ESTIMATORS)}"),
     "fov_deg": ("fov_deg", _as_float, lambda v: 0.0 < v <= 90.0, "must be in (0, 90]"),
-    "grid_step_deg": ("grid_step_deg", _as_float, lambda v: v >= MIN_STEP_DEG,
-                      f"must be >= {MIN_STEP_DEG:g}"),
+    "grid_step_deg": ("grid_step_deg", _as_float, None, ""),
     "seed": ("seed", _as_int, lambda v: v >= 0, "must be >= 0"),
 }
 
@@ -166,8 +181,9 @@ class ExperimentConfig:
     Every value is parsed, checked finite and range-checked here, whether
     the config comes from a file (`from_mapping`) or is built directly; a
     ConfigError names the offending key. The geometry, the pattern, the
-    perturbation and the coupling matrix are built here once, through the
-    constructors that own their ranges, and every engine reads them.
+    perturbation, the coupling matrix and `scenarios`, one SourceScenario
+    per point, are built here once, through the constructors that own their
+    ranges, and every engine reads them.
     """
 
     family: str
@@ -203,11 +219,8 @@ class ExperimentConfig:
             if valid is not None and not valid(value):
                 raise ConfigError(f"key {key!r}: {text}, got {_shown(value)}", key)
             object.__setattr__(self, attr, value)
-        try:
+        with _keyed("manifold.perturbation", PatternError):
             perturbation = PatternPerturbation(self.phase_noise_std_deg, self.param_tolerance)
-        except PatternError as exc:
-            key = f"manifold.perturbation.{exc.param}"
-            raise ConfigError(f"key {key!r}: {exc}", key) from None
         object.__setattr__(self, "pattern", _as_str("manifold.pattern", self.pattern))
         object.__setattr__(self, "pattern_params", {
             k: (_as_str if k == "file" else _as_float)(f"manifold.pattern.{k}", v)
@@ -245,32 +258,29 @@ class ExperimentConfig:
             default = _OVERLOADED_ANGLES if self.family == "overloaded-demo" \
                 else (-10.0, 10.0)
             object.__setattr__(self, "angles", default)
-        elif not self.angles:
-            raise ConfigError(f"key 'angles': family {self.family!r} needs at least "
-                              "one source angle", "angles")
-
-        if self.angles:
-            if len(set(self.angles)) != len(self.angles):
-                raise ConfigError("key 'angles': must be distinct", "angles")
-            if any(abs(a) > self.fov_deg for a in self.angles):
-                raise ConfigError("key 'angles': must lie within the field of view",
-                                  "angles")
+        if any(abs(a) > self.fov_deg for a in self.angles):
+            raise ConfigError("key 'angles': must lie within the field of view", "angles")
+        if self.family == "symmetric-pair-angle-sweep":
+            scenes = [((-h, h), self.snr_db) for h in self.sweep]
+        elif self.family == "snr-sweep":
+            scenes = [(self.angles, snr) for snr in self.sweep]
+        else:
+            scenes = [(self.angles, self.snr_db)]
+        with _keyed("angles", ValueError):
+            object.__setattr__(self, "scenarios",
+                               tuple(SourceScenario(a, snr) for a, snr in scenes))
 
         need = max(3, self.source_count)
-        try:
+        with _keyed("grid_step_deg", ValueError):
             grid = azimuth_grid(self.grid_step_deg)
-        except ValueError as exc:
-            raise ConfigError(f"key 'grid_step_deg': {exc}", "grid_step_deg") from None
         window = grid[fov_window(grid, self.fov_deg)]
         if window.size < need:
             raise ConfigError(f"key 'grid_step_deg': the +-{self.fov_deg:g} deg pick "
                               f"window of a {self.grid_step_deg:g} deg grid holds "
                               f"{window.size} points, need at least {need}", "grid_step_deg")
 
-        try:
+        with _keyed("geometry", GeometryError):
             geom = named_geometry(self.geometry)
-        except GeometryError as exc:
-            raise ConfigError(f"key 'geometry': {exc}", "geometry") from None
         l = self.source_count
         if _trial_bytes(l, geom.element_count, self.snapshots) > MAX_TRIAL_BYTES:
             raise ConfigError(f"key 'snapshots': {_shown(self.snapshots)} snapshots of "
@@ -290,14 +300,9 @@ class ExperimentConfig:
                 raise ConfigError(f"coarray-music on {geom.name!r} handles at most "
                                   f"{geom.aperture} sources, scenario has {l}",
                                   "estimator")
-        try:
+        with _keyed("manifold.pattern", PatternError), \
+                _keyed("manifold.pattern.file", TableError, OSError):
             pattern = make_pattern(self.pattern, **self.pattern_params)
-        except PatternError as exc:
-            key = "manifold.pattern" + (f".{exc.param}" if exc.param else "")
-            raise ConfigError(f"key {key!r}: {exc}", key) from None
-        except (TableError, OSError) as exc:
-            raise ConfigError(f"key 'manifold.pattern.file': {exc}",
-                              "manifold.pattern.file") from None
         # 10**(dB/10) of a larger level overflows the sample covariance; a
         # gain of a smaller level underflows the steering to zero, and a
         # smaller SNR leaves no signal in the data
@@ -322,12 +327,9 @@ class ExperimentConfig:
                 key = f"manifold.pattern.{exponent}"
                 raise ConfigError(f"key {key!r}: the gain falls below -3000 dBi "
                                   f"inside +-{self.fov_deg:g} deg", key)
-        try:
+        with _keyed("manifold.coupling", CouplingError):
             coupling = apply_coupling_model(make_manifold(geom, pattern), self.coupling_c1,
                                             self.coupling_decay).coupling
-        except CouplingError as exc:
-            key = f"manifold.coupling.{exc.param}"
-            raise ConfigError(f"key {key!r}: {exc}", key) from None
         # built once here and read by every engine of this config; a tabulated
         # pattern keeps the rows read here, which the fingerprint hashes
         object.__setattr__(self, "_geometry", geom)
@@ -337,21 +339,12 @@ class ExperimentConfig:
 
     @property
     def source_count(self) -> int:
-        if self.family == "symmetric-pair-angle-sweep":
-            return 2
-        return len(self.angles)
+        return self.scenarios[0].source_count
 
     @property
     def points(self) -> tuple[float, ...]:
         """Swept parameter values; single-point families report 0.0."""
         return self.sweep if self.sweep else (0.0,)
-
-    def scenario_at(self, point: float) -> SourceScenario:
-        if self.family == "symmetric-pair-angle-sweep":
-            return SourceScenario((-point, point), self.snr_db)
-        if self.family == "snr-sweep":
-            return SourceScenario(self.angles, point)
-        return SourceScenario(self.angles, self.snr_db)
 
     def resolve_geometry(self) -> ArrayGeometry:
         return self._geometry
@@ -595,8 +588,8 @@ class _TrialEngine:
         point `index`, in order, as one stack (B, rows, rows - L) per chunk
         of B trials; a single trial is a chunk of one.
 
-        The point's scenario, phase ramp and, when nothing is perturbed,
-        data steering are computed once per call. Per chunk, one
+        The point's phase ramp and, when nothing is perturbed, data steering
+        are computed once per call, from cfg.scenarios. Per chunk, one
         _stream_states call seeds the streams, one perturbed_gains call
         draws every element deviation of a perturbed config, and each
         trial's snapshot stream fills its slices of the source and noise
@@ -609,7 +602,7 @@ class _TrialEngine:
         element-music runs a bare eigh.
         """
         cfg = self.cfg
-        scenario = cfg.scenario_at(cfg.points[index])
+        scenario = cfg.scenarios[index]
         l, k = scenario.source_count, cfg.snapshots
         n = self.geometry.element_count
         ramp = phase_ramp(self.geometry, scenario.angles)
@@ -647,7 +640,7 @@ def run_point(config: ExperimentConfig, point_index: int, *,
     Every trial owns a stream keyed by (seed, point index, trial index), so
     entry t equals what the trial gives on its own, through
     next(engine.noise(point_index, [t]))[0] and a full-scan pick, scored
-    against config.scenario_at of the point. The trials run chunk by chunk
+    against config.scenarios[point_index]. The trials run chunk by chunk
     through engine.noise and the engine's pruned search, which bounds a
     chunk in capped groups of rows and certifies it on the union of its
     trials' kept blocks; each trial is picked by one pick_peaks call, and
@@ -661,7 +654,7 @@ def run_point(config: ExperimentConfig, point_index: int, *,
         engine = _TrialEngine(config)
     elif engine.cfg != config:
         raise ValueError("engine was built for a different config")
-    scenario = config.scenario_at(points[point_index])
+    scenario = config.scenarios[point_index]
     l = scenario.source_count
     estimates = np.empty((config.trials, l))
     fills = np.empty(config.trials, dtype=int)

@@ -111,25 +111,23 @@ def apply_coupling_model(manifold: ArrayManifold, c1: complex,
 
 @dataclass(frozen=True)
 class SourceScenario:
-    """Far-field narrowband sources: angles (degrees) and per-source SNR (dB)."""
+    """Far-field narrowband sources: angles (degrees) and one SNR (dB) that
+    every source shares. This is the one owner of the angle rules: at least
+    one source, every angle in [-90, 90], no two alike."""
 
     angles: tuple[float, ...]
-    snr_db: float | tuple[float, ...] = 0.0
+    snr_db: float = 0.0
 
     def __post_init__(self):
         angles = tuple(float(a) for a in self.angles)
         object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "snr_db", float(self.snr_db))
         if not angles:
             raise ValueError("need at least one source")
         if any(abs(a) > 90.0 for a in angles):
             raise ValueError(f"source angles must lie in [-90, 90]: {angles}")
         if len(set(angles)) != len(angles):
             raise ValueError(f"source angles must be distinct: {angles}")
-        if isinstance(self.snr_db, (list, tuple)):
-            snr = tuple(float(s) for s in self.snr_db)
-            if len(snr) != len(angles):
-                raise ValueError(f"need {len(angles)} SNR values, got {len(snr)}")
-            object.__setattr__(self, "snr_db", snr)
 
     @property
     def source_count(self) -> int:
@@ -137,9 +135,7 @@ class SourceScenario:
 
     @property
     def per_source_snr_db(self) -> tuple[float, ...]:
-        if isinstance(self.snr_db, tuple):
-            return self.snr_db
-        return (float(self.snr_db),) * len(self.angles)
+        return (self.snr_db,) * len(self.angles)
 
 
 def generate_snapshots(manifold: ArrayManifold, scenario: SourceScenario,
@@ -147,7 +143,7 @@ def generate_snapshots(manifold: ArrayManifold, scenario: SourceScenario,
     """Simulate x(t) = A s(t) + n(t) with unit-power complex Gaussian noise.
 
     Returns the N x T complex array. Sources are i.i.d. circular complex
-    Gaussian with amplitude set by the per-source SNR. rng may be a Generator,
+    Gaussian with amplitude set by the scenario's SNR. rng may be a Generator,
     a SeedSequence, or an int seed; the same seed and inputs reproduce the
     snapshots bit-identically (source draws come before noise draws).
     """

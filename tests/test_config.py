@@ -103,6 +103,32 @@ def test_roundtrip_parse_serialize_parse():
     assert serialize_config(again) == text
 
 
+@pytest.mark.parametrize("name", ["123", " sp.csv"], ids=["digits", "leading-space"])
+def test_serialized_table_name_reads_back(tmp_path, monkeypatch, name):
+    # a file name that reads as a number, or that starts with a space, is
+    # written as a JSON string and reads back as the same name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text("azimuth_deg,gain_dbi,phase_deg\n"
+                                 "-90.0,0.0,0.0\n0.0,3.0,10.0\n90.0,0.0,0.0\n")
+    cfg = ExperimentConfig(family="fixed-scenario", geometry="ula8", pattern="tabulated",
+                           pattern_params={"file": name})
+    text = serialize_config(cfg)
+    assert f"manifold.pattern.file = {json.dumps(name)}\n" in text
+    again = parse_config_text(text)
+    assert again == cfg and again.pattern_params["file"] == name
+    assert again.nominal_pattern().samples == cfg.nominal_pattern().samples
+    assert serialize_config(again) == text
+
+
+def test_only_a_whole_line_is_a_comment():
+    # a line whose first non-blank character is '#' is skipped; a '#' after a
+    # value is part of the value
+    assert parse_config_text(SAMPLE + "   # indented comment\n") == parse_config_text(SAMPLE)
+    with pytest.raises(ConfigError, match="expected number, got '-5  # dB'") as info:
+        parse_config_text(SAMPLE + "snr_db = -5  # dB\n")
+    assert info.value.key == "snr_db"
+
+
 _PATTERNS = st.one_of(
     st.tuples(st.sampled_from(["isotropic", "dipole_ref"]), st.just({})),
     st.tuples(st.just("patch"), st.fixed_dictionaries(

@@ -15,7 +15,7 @@ from doasim.geometry import (ArrayGeometry, GeometryError, make_mra, make_ula,
                              named_geometry)
 from doasim.manifold import (SourceScenario, generate_snapshots, make_manifold,
                              sample_covariance, steering_matrix, steering_vector)
-from doasim.patterns import make_isotropic, make_patch
+from doasim.patterns import MIN_STEP_DEG, make_isotropic, make_patch
 
 from oracles import (concatenated_virtual_steering, evaluated_values_equal,
                      loop_coarray_smoothed, naive_coarray_smoothed)
@@ -496,9 +496,11 @@ def test_azimuth_grid_defaults():
 
 def test_azimuth_grid_needs_three_points():
     # 120 deg is the widest step whose grid holds the 3 points a
-    # Pseudospectrum needs; a wider, infinite or NaN step is rejected, naming it
+    # Pseudospectrum needs, and MIN_STEP_DEG the finest; a step outside
+    # [MIN_STEP_DEG, 120], infinite or NaN is rejected, naming it
     assert np.array_equal(azimuth_grid(120.0), [-90.0, 0.0, 90.0])
-    for step in (200.0, math.inf, math.nan, 120.5):
+    assert azimuth_grid(MIN_STEP_DEG).size == 1_800_001
+    for step in (200.0, math.inf, math.nan, 120.5, MIN_STEP_DEG / 2):
         with pytest.raises(ValueError, match=f"got {step}"):
             azimuth_grid(step)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from doasim import estimators, experiments
-from doasim.config import read_results, write_results
+from doasim.config import parse_config_text, read_results, write_results
 from doasim.estimators import (Pseudospectrum, _spectrum, azimuth_grid, coarray_music,
                                fov_window, music_pseudospectrum, pick_peaks)
 from doasim.experiments import (ESTIMATORS, ConfigError, ExperimentConfig,
@@ -95,7 +96,7 @@ def test_config_rejects_too_coarse_grid():
     # three points (-90, 0, 90) are the fewest any scan accepts
     assert _tiny_config(grid_step_deg=90.0, angles=(0.0,)).grid_step_deg == 90.0
     # a step above 120 deg gives fewer, and azimuth_grid rejects it
-    with pytest.raises(ConfigError, match=r"grid_step_deg.*\(0, 120\]"):
+    with pytest.raises(ConfigError, match=r"grid_step_deg.*\[0.0001, 120\]"):
         _tiny_config(grid_step_deg=180.0, angles=(0.0,))
 
 
@@ -124,7 +125,7 @@ def test_config_family_defaults():
                              geometry="ula8", pattern="isotropic",
                              sweep=(1.0, 2.0, 4.0))
     assert sweep.source_count == 2
-    assert sweep.scenario_at(2.0).angles == (-2.0, 2.0)
+    assert sweep.scenarios[1].angles == (-2.0, 2.0)
     assert sweep.points == (1.0, 2.0, 4.0)
     assert _tiny_config().points == (0.0,)
 
@@ -277,6 +278,64 @@ def test_config_builds_nonideality_objects_once(monkeypatch):
     assert engine.geometry is cfg.resolve_geometry()
 
 
+def test_config_builds_each_scenario_once(monkeypatch):
+    # one SourceScenario per point, built when the config is; a sweep, a
+    # point and the demo read config.scenarios and build none
+    built = []
+    original = experiments.SourceScenario
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "SourceScenario", counting)
+    sweep = _coupled_sweep(trials=2)
+    demo = ExperimentConfig(family="overloaded-demo", geometry="mra8", pattern="patch",
+                            estimator="coarray-music", snapshots=16, grid_step_deg=0.5)
+    assert len(built) == len(sweep.points) + 1
+    assert [s.snr_db for s in sweep.scenarios] == list(sweep.sweep)
+    built.clear()
+    run_sweep(sweep)
+    run_point(sweep, 1)
+    run_overloaded_demo(demo)
+    assert built == []
+
+
+@pytest.mark.parametrize("cfg", [
+    _tiny_config(), _coupled_sweep(),
+    _tiny_config(family="symmetric-pair-angle-sweep", angles=None, sweep=(1.0, 2.0, 4.0))],
+    ids=["fixed", "snr-sweep", "pair-sweep"])
+def test_replaced_config_rebuilds_its_scenarios(cfg):
+    # dataclasses.replace, which the CLI's --seed goes through, runs the
+    # constructor again: the scenarios follow the new fields
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    assert dataclasses.replace(cfg, seed=5).scenarios == cfg.scenarios
+    sweep = tuple(p + 1.0 for p in cfg.sweep)
+    assert (dataclasses.replace(cfg, sweep=sweep).scenarios
+            == ExperimentConfig(**{**fields, "sweep": sweep}).scenarios)
+    if cfg.sweep:
+        assert dataclasses.replace(cfg, sweep=sweep).scenarios != cfg.scenarios
+
+
+@pytest.mark.parametrize("family", ["snr-sweep", "fixed-scenario", "overloaded-demo"])
+@pytest.mark.parametrize("angles", [[5.0, 5.0], []], ids=["repeated", "empty"])
+def test_file_and_constructor_reject_bad_angles_alike(family, angles):
+    # SourceScenario owns "at least one angle" and "distinct angles"; a file
+    # and the constructor both report its error under the key angles
+    sweep = (0.0, 5.0) if family == "snr-sweep" else ()
+    estimator = "coarray-music" if family == "overloaded-demo" else "element-music"
+    with pytest.raises(ConfigError, match="key 'angles'") as info:
+        ExperimentConfig(family=family, geometry="mra8", pattern="patch", sweep=sweep,
+                         estimator=estimator, angles=angles)
+    assert info.value.key == "angles"
+    text = (f"family = {family}\ngeometry = mra8\nmanifold.pattern = patch\n"
+            f"estimator = {estimator}\nangles = {angles}\n"
+            + (f"sweep = {list(sweep)}\n" if sweep else ""))
+    with pytest.raises(ConfigError, match="line 5: key 'angles'") as info:
+        parse_config_text(text)
+    assert info.value.key == "angles"
+
+
 def test_coarray_run_point_checks_geometry_at_most_once(monkeypatch):
     # the hole-free check belongs to the geometry's lag table, not to each trial
     cfg = _tiny_config(geometry="mra4", estimator="coarray-music", trials=6)
@@ -338,7 +397,7 @@ def test_engine_window_scan_matches_full_grid(estimator, fov, step):
                            estimator=estimator, fov_deg=fov, grid_step_deg=step,
                            coupling_c1=0.1, phase_noise_std_deg=3.0, seed=4)
     engine = experiments._TrialEngine(cfg)
-    scenario = cfg.scenario_at(cfg.points[0])
+    scenario = cfg.scenarios[0]
     grid = azimuth_grid(step)
     window = fov_window(grid, fov, guard=1)
     for t, en in enumerate(_trial_noise(engine, 0, range(cfg.trials))):
@@ -395,7 +454,7 @@ def test_engine_data_steering_matches_public_replay(table_file, kind, c1, phase_
                            phase_noise_std_deg=phase_noise, param_tolerance=tolerance,
                            grid_step_deg=1.0, trials=1, seed=seed)
     engine = experiments._TrialEngine(cfg)
-    scenario = cfg.scenario_at(cfg.points[0])
+    scenario = cfg.scenarios[0]
     seen = []
     synthesize = experiments._synthesize
 
@@ -588,7 +647,7 @@ def test_element_point_of_several_chunks_replays_each_trial(monkeypatch):
         sizes.clear()
         errs, fills = run_point(cfg, index, engine=engine)
         assert sizes == [7, 7, 6]
-        truth = cfg.scenario_at(cfg.points[index]).angles
+        truth = cfg.scenarios[index].angles
         for t in range(cfg.trials):
             en = next(noise(index, [t]))[0]
             est = pick_peaks(Pseudospectrum(engine.grid, _spectrum(en, engine.steering)),

@@ -125,12 +125,12 @@ def test_scenario_validation():
         SourceScenario((0.0, 0.0))
     with pytest.raises(ValueError):
         SourceScenario((0.0, 95.0))
-    with pytest.raises(ValueError):
-        SourceScenario((0.0, 10.0), (1.0,))
-    s = SourceScenario((-10.0, 10.0), -5.0)
+    # one SNR that every source shares, stored as a float
+    with pytest.raises(TypeError):
+        SourceScenario((0.0, 10.0), (0.0, 6.0))
+    s = SourceScenario((-10.0, 10.0), -5)
+    assert s.snr_db == -5.0 and isinstance(s.snr_db, float)
     assert s.per_source_snr_db == (-5.0, -5.0)
-    s2 = SourceScenario((-10.0, 10.0), (0.0, 6.0))
-    assert s2.per_source_snr_db == (0.0, 6.0)
 
 
 def test_snapshots_shape_and_determinism():
