@@ -12,11 +12,10 @@ from .manifold import (ArrayManifold, CouplingError, SourceScenario,
 from .estimators import (DoaEstimateSet, Pseudospectrum, RankError, azimuth_grid,
                          coarray_covariance, coarray_music, hermitian_eig,
                          music_pseudospectrum, pick_peaks, virtual_steering)
-from .experiments import (ConfigError, ExperimentConfig, LinkBudget, SweepResult,
-                          range_ratio, required_snr_for_rmse, rmse,
+from .config import (ConfigError, ExperimentConfig, SweepResult, parse_config,
+                     parse_config_text, read_results, serialize_config, write_results)
+from .experiments import (LinkBudget, range_ratio, required_snr_for_rmse, rmse,
                           run_overloaded_demo, run_point, run_sweep, snr_to_range)
-from .config import (parse_config, parse_config_text, read_results,
-                     serialize_config, write_results)
 from .svgplot import render_plot
 
 __version__ = "0.1.0"

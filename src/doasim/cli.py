@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from ._files import csv_text, write_text
-from .config import parse_config, write_results
+from .config import ConfigError, parse_config, write_results
 from .estimators import RankError
-from .experiments import ConfigError, run_overloaded_demo, run_sweep
+from .experiments import run_overloaded_demo, run_sweep
 from .geometry import GeometryError, difference_coarray, is_perfect, named_geometry
 from .patterns import PatternError, TableError, export_tabulated, make_pattern
 from .svgplot import render_plot
@@ -28,9 +27,7 @@ EXIT_RUNTIME = 3
 
 
 def _cmd_sweep(args) -> int:
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = parse_config(args.config, seed=args.seed)
     result = run_sweep(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from ._files import write_text
+from .config import SweepResult
 from .estimators import Pseudospectrum
-from .experiments import SweepResult
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 76, 24, 44, 58

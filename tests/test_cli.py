@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from doasim import cli
+from doasim import cli, config, patterns
 from doasim.cli import main
 from doasim.config import read_results
 from doasim.estimators import azimuth_grid, fov_window
@@ -61,6 +61,49 @@ def test_sweep_seed_override(tmp_path):
     assert main(["sweep", "--config", str(conf), "--out", str(out),
                  "--seed", "77"]) == 0
     assert read_results(out / "exp.csv").seed == 77
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_sweep_reads_each_file_once(tmp_path, monkeypatch, seed):
+    # --seed replaces the parsed seed before the config is built, so the
+    # config and its pattern table are each read once, with or without it
+    reads = []
+
+    def counting(module):
+        original = module.read_text
+
+        def read_text(source, what):
+            reads.append(what)
+            return original(source, what)
+        monkeypatch.setattr(module, "read_text", read_text)
+
+    for module in (config, patterns):
+        counting(module)
+    (tmp_path / "table.csv").write_text(TABLE)
+    conf = tmp_path / "tab.conf"
+    conf.write_text(SWEEP_CONF.replace("manifold.pattern = isotropic",
+                                       f"manifold.pattern = tabulated\n"
+                                       f"manifold.pattern.file = {tmp_path / 'table.csv'}"))
+    argv = ["sweep", "--config", str(conf), "--out", str(tmp_path / "out")]
+    assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+    assert reads == ["config", "pattern table"]
+    assert read_results(tmp_path / "out" / "tab.csv").seed == (2 if seed is None else seed)
+
+
+@pytest.mark.parametrize("seed_line, seed, error", [
+    ("", "-1", "error: key 'seed': must be >= 0"),
+    ("seed = 3\n", "-1", "error: key 'seed': must be >= 0"),
+    ("seed = 3\nunknown_key = 3\n", "7", "error: line 10: unknown key 'unknown_key'")],
+    ids=["negative", "negative-over-file", "invalid-file"])
+def test_sweep_seed_override_errors_exit_2(tmp_path, capsys, seed_line, seed, error):
+    # a negative --seed is named as the key seed, on no line of the file; a
+    # file that is invalid on its own fails whatever the --seed
+    conf = tmp_path / "exp.conf"
+    conf.write_text(SWEEP_CONF.replace("seed = 2\n", seed_line))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(conf), "--out", str(out), "--seed", seed]) == 2
+    assert capsys.readouterr().err.startswith(error)
+    assert not out.exists()
 
 
 def test_sweep_bad_config_exits_2(tmp_path, capsys):

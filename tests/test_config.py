@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import io
 import json
@@ -10,12 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from doasim.config import (parse_config, parse_config_text, read_results,
-                           serialize_config, write_results)
+import doasim.config
 from doasim.cli import main
-from doasim.experiments import (_SCALARS, ESTIMATORS, MAX_LEVEL_DB, MAX_TRIAL_BYTES,
-                                MIN_LEVEL_DB, ConfigError, ExperimentConfig, SweepResult,
-                                run_point)
+from doasim.config import (_SCALARS, ESTIMATORS, MAX_LEVEL_DB, MAX_TRIAL_BYTES, MIN_LEVEL_DB,
+                           ConfigError, ExperimentConfig, SweepResult, parse_config,
+                           parse_config_text, read_results, serialize_config, write_results)
+from doasim.experiments import run_point
 from doasim.patterns import MIN_STEP_DEG
 
 SAMPLE = """\
@@ -200,7 +201,9 @@ _OUT_OF_RANGE = {
     # a trial of more than MAX_TRIAL_BYTES // 16 snapshots passes the bound
     # on any array
     "snapshots": st.integers(max_value=0) | st.integers(min_value=MAX_TRIAL_BYTES // 16 + 1),
-    "trials": st.integers(max_value=0) | st.integers(min_value=2**32 + 1),
+    # a point of more than MAX_TRIAL_BYTES // 24 trials passes the bound on
+    # its results, 8 * (sources + 2) bytes a trial, at any source count
+    "trials": st.integers(max_value=0) | st.integers(min_value=MAX_TRIAL_BYTES // 24 + 1),
     "estimator": st.text(min_size=1).filter(lambda e: e not in ESTIMATORS),
     "fov_deg": st.floats(max_value=0.0) | st.floats(min_value=90.0, exclude_min=True),
     "grid_step_deg": st.floats(max_value=MIN_STEP_DEG, exclude_max=True),
@@ -318,6 +321,39 @@ def test_snapshots_bounded_by_trial_bytes(geometry, angles, rows):
                                           f"{rows} rows") as info:
         ExperimentConfig(**base, snapshots=most + 1)
     assert info.value.key == "snapshots"
+
+
+@pytest.mark.parametrize("family, sources", [("fixed-scenario", 2),
+                                              ("overloaded-demo", 10)])
+def test_trials_bounded_by_point_bytes(family, sources):
+    # parsed only: a point's results, 8 * (sources + 2) * trials bytes, may
+    # take MAX_TRIAL_BYTES and no more, from a file and the constructor alike
+    estimator = "coarray-music" if sources > 2 else "element-music"
+    base = dict(family=family, geometry="mra8", pattern="isotropic", estimator=estimator)
+    most = MAX_TRIAL_BYTES // (8 * (sources + 2))
+    assert ExperimentConfig(**base, trials=most).trials == most
+    with pytest.raises(ConfigError, match=f"key 'trials': the results of {most + 1} "
+                                          f"trials of {sources} sources") as info:
+        ExperimentConfig(**base, trials=most + 1)
+    assert info.value.key == "trials"
+    text = (f"family = {family}\ngeometry = mra8\nmanifold.pattern = isotropic\n"
+            f"estimator = {estimator}\ntrials = {most + 1}\n")
+    with pytest.raises(ConfigError, match="line 5: key 'trials'") as info:
+        parse_config_text(text)
+    assert info.value.key == "trials"
+
+
+def test_config_module_imports_nothing_from_experiments():
+    # the config owns its schema; the engine reads the config, not the reverse
+    names = set()
+    for node in ast.walk(ast.parse(Path(doasim.config.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    assert "_files" in names
+    assert not [n for n in names if "experiments" in n.split(".")]
 
 
 def test_readme_library_quick_start_runs(capsys):

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from doasim import estimators, experiments
-from doasim.config import parse_config_text, read_results, write_results
+from doasim import config, estimators, experiments
+from doasim.config import (_OVERLOADED_ANGLES, ESTIMATORS, ConfigError, ExperimentConfig,
+                           SweepResult, parse_config_text, read_results, write_results)
 from doasim.estimators import (Pseudospectrum, _spectrum, azimuth_grid, coarray_music,
                                fov_window, music_pseudospectrum, pick_peaks)
-from doasim.experiments import (ESTIMATORS, ConfigError, ExperimentConfig,
-                                LinkBudget, SweepResult, range_ratio,
-                                required_snr_for_rmse, rmse, run_overloaded_demo,
-                                run_point, run_sweep, snr_to_range)
+from doasim.experiments import (LinkBudget, range_ratio, required_snr_for_rmse, rmse,
+                                run_overloaded_demo, run_point, run_sweep, snr_to_range)
 from doasim.manifold import (ArrayManifold, apply_coupling_model, generate_snapshots,
                              make_manifold, sample_covariance, steering_matrix)
 from doasim.patterns import export_tabulated, make_vivaldi, perturb
@@ -218,8 +217,8 @@ def test_run_sweep_points_equal_separate_run_point_calls(monkeypatch, sweeps):
     seen = []
     original = experiments.run_point
 
-    def recording(config, point_index, **kwargs):
-        out = original(config, point_index, **kwargs)
+    def recording(cfg, point_index, **kwargs):
+        out = original(cfg, point_index, **kwargs)
         seen.append((point_index, out))
         return out
 
@@ -241,9 +240,9 @@ def test_run_sweep_builds_one_engine(monkeypatch):
     built = []
 
     class CountingEngine(experiments._TrialEngine):
-        def __init__(self, config):
-            built.append(config)
-            super().__init__(config)
+        def __init__(self, cfg):
+            built.append(cfg)
+            super().__init__(cfg)
 
     monkeypatch.setattr(experiments, "_TrialEngine", CountingEngine)
     run_sweep(_coupled_sweep())
@@ -257,12 +256,12 @@ def test_config_builds_nonideality_objects_once(monkeypatch):
     calls = []
 
     def counting(name):
-        original = getattr(experiments, name)
+        original = getattr(config, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
             return original(*args, **kwargs)
-        monkeypatch.setattr(experiments, name, wrapper)
+        monkeypatch.setattr(config, name, wrapper)
 
     for name in ("named_geometry", "PatternPerturbation", "apply_coupling_model"):
         counting(name)
@@ -282,13 +281,13 @@ def test_config_builds_each_scenario_once(monkeypatch):
     # one SourceScenario per point, built when the config is; a sweep, a
     # point and the demo read config.scenarios and build none
     built = []
-    original = experiments.SourceScenario
+    original = config.SourceScenario
 
     def counting(*args, **kwargs):
         built.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "SourceScenario", counting)
+    monkeypatch.setattr(config, "SourceScenario", counting)
     sweep = _coupled_sweep(trials=2)
     demo = ExperimentConfig(family="overloaded-demo", geometry="mra8", pattern="patch",
                             estimator="coarray-music", snapshots=16, grid_step_deg=0.5)
@@ -306,8 +305,8 @@ def test_config_builds_each_scenario_once(monkeypatch):
     _tiny_config(family="symmetric-pair-angle-sweep", angles=None, sweep=(1.0, 2.0, 4.0))],
     ids=["fixed", "snr-sweep", "pair-sweep"])
 def test_replaced_config_rebuilds_its_scenarios(cfg):
-    # dataclasses.replace, which the CLI's --seed goes through, runs the
-    # constructor again: the scenarios follow the new fields
+    # dataclasses.replace runs the constructor again: the scenarios follow
+    # the new fields
     fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     assert dataclasses.replace(cfg, seed=5).scenarios == cfg.scenarios
     sweep = tuple(p + 1.0 for p in cfg.sweep)
@@ -347,7 +346,7 @@ def test_coarray_run_point_checks_geometry_at_most_once(monkeypatch):
         return original(geometry)
 
     monkeypatch.setattr(estimators, "is_perfect", counting)
-    monkeypatch.setattr(experiments, "is_perfect", counting)
+    monkeypatch.setattr(config, "is_perfect", counting)
     estimators._lag_table.cache_clear()
     run_point(cfg, 0)
     run_point(cfg, 0)
@@ -546,7 +545,7 @@ def test_run_point_errors_do_not_depend_on_seed_chunks(monkeypatch):
     (100, dict(family="symmetric-pair-angle-sweep", geometry="mra8", pattern="vivaldi",
                sweep=(0.4, 12.0), snapshots=50, fov_deg=30.0, trials=100)),
     (6, dict(family="fixed-scenario", geometry="mra8", pattern="isotropic",
-             angles=experiments._OVERLOADED_ANGLES, snapshots=1024,
+             angles=_OVERLOADED_ANGLES, snapshots=1024,
              estimator="coarray-music", trials=100)),
     (15, dict(family="snr-sweep", geometry="ula8", pattern="patch", coupling_c1=0.2,
               phase_noise_std_deg=5.0, param_tolerance=0.05, sweep=(-20.0, 19.0),

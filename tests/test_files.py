@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from doasim.cli import main
-from doasim.config import parse_config, parse_config_text, read_results, write_results
-from doasim.experiments import ConfigError, SweepResult, run_overloaded_demo, run_sweep
+from doasim.config import (ConfigError, SweepResult, parse_config, parse_config_text,
+                           read_results, write_results)
+from doasim.experiments import run_overloaded_demo, run_sweep
 from doasim.patterns import (TABLE_HEADER, ElementPattern, evaluate, export_tabulated,
                              load_tabulated, make_pattern)
 from doasim.svgplot import render_plot

@@ -9,8 +9,8 @@ from xml.sax.saxutils import escape as sax_escape
 import numpy as np
 import pytest
 
+from doasim.config import SweepResult
 from doasim.estimators import Pseudospectrum, azimuth_grid
-from doasim.experiments import SweepResult
 from doasim.svgplot import escape, render_plot
 
 
