@@ -14,8 +14,8 @@ from .estimators import (DoaEstimateSet, Pseudospectrum, RankError, azimuth_grid
                          music_pseudospectrum, pick_peaks, virtual_steering)
 from .config import (ConfigError, ExperimentConfig, SweepResult, parse_config,
                      parse_config_text, read_results, serialize_config, write_results)
-from .experiments import (LinkBudget, range_ratio, required_snr_for_rmse, rmse,
-                          run_overloaded_demo, run_point, run_sweep, snr_to_range)
+from .experiments import rmse, run_overloaded_demo, run_point, run_sweep
+from .coverage import LinkBudget, range_ratio, required_snr_for_rmse, snr_to_range
 from .svgplot import render_plot
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""The trial engine, its random streams, the runners and the link budget.
+"""The trial engine and its runners.
 
 An experiment is a sweep over one parameter (source separation or SNR),
 running many independent trials per point and reducing them to an RMSE.
@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._streams import _stream_states, loaded
 from .config import ConfigError, ExperimentConfig, SweepResult, _trial_bytes
 # apply_coupling_model, coarray_music, generate_snapshots, music_pseudospectrum
 # and perturb are not called here. They stay in this namespace because
@@ -35,9 +34,6 @@ from .estimators import (_CHUNK_BYTES, DoaEstimateSet, Pseudospectrum, _coarray_
 from .manifold import (_synthesize, apply_coupling_model, generate_snapshots, make_manifold,
                        phase_ramp, sample_covariance, steering_matrix)
 from .patterns import evaluate, perturb, perturbed_gains
-
-# free-space wave impedance, ohms
-ETA_0 = 376.730
 
 
 def rmse(estimates, truth) -> float:
@@ -62,103 +58,9 @@ def _sorted_rmse(e: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean((e - t) ** 2, axis=-1))
 
 
-# numpy's SeedSequence (NEP 19) hashes 32-bit entropy words into a pool of 4
-# words and hashes the pool out again for generate_state; PCG64 seeds its
-# 128-bit LCG from generate_state(4, uint64). These are their constants.
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 # trials per _stream_states call, so that seeding memory does not grow with
 # the trial count
 _SEED_CHUNK = 256
-
-
-@functools.cache
-def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = 0..n: the successive hash constants."""
-    consts = [init]
-    for _ in range(n):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)
-
-
-def _hashmix(words: np.ndarray, k: int, n: int) -> np.ndarray:
-    """SeedSequence's hashmix of the n words on the last axis, as its hash
-    calls k..k+n-1."""
-    h = _hash_consts(_INIT_A, _MULT_A, k + n)
-    v = (words ^ h[k:k + n]) * h[k + 1:]
-    return v ^ v >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    v = x * _MIX_L - y * _MIX_R
-    return v ^ v >> 16
-
-
-def _absorb(pool: np.ndarray, word: np.ndarray, k: int) -> np.ndarray:
-    """Mix one entropy word beyond the pool size into every pool word, as
-    hash calls k..k+3."""
-    return _mix(pool, _hashmix(word[..., None], k, _POOL))
-
-
-def _pcg64_states(pool: np.ndarray) -> list[tuple[int, int]]:
-    """PCG64's (state, inc) when seeded from each pool row: generate_state(4,
-    uint64) gives initstate and initseq, then inc = 2 initseq + 1 and
-    state = (inc + initstate) M + inc, mod 2**128."""
-    h = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
-    v = (np.tile(pool, 2) ^ h[:-1]) * h[1:]
-    words = np.ascontiguousarray(v ^ v >> 16, dtype="<u4").view("<u8").reshape(-1, 4)
-    states = []
-    for a, b, c, d in words.tolist():
-        inc = (c << 65 | d << 1 | 1) & _MASK128
-        states.append((((a << 64 | b) + inc) * _PCG_MULT + inc & _MASK128, inc))
-    return states
-
-
-def _stream_states(seed: int, point_index: int, trials,
-                   elements: int) -> tuple[list, list | None]:
-    """PCG64 (state, inc) pairs of every trial t in `trials` at once, bit for
-    bit those of default_rng on the children of
-    SeedSequence([seed, point_index, t]).spawn(2).
-
-    Returns the snapshot stream's pair per trial (spawn key (1,)) and, if
-    `elements` > 0, the pairs of the perturbation stream's first `elements`
-    children (spawn key (0, j)), trial-major; else None. Indices must be
-    below 2**32, one entropy word each.
-    """
-    t = np.asarray(trials)
-    if t.size and not (t.min() >= 0 and t.max() <= _MASK32):
-        raise ValueError(f"trial indices must be in [0, 2**32), got {trials!r}")
-    # SeedSequence reads an integer as little-endian 32-bit words, 0 as one
-    # word, and pads run entropy shorter than the pool with zeros when it has
-    # a spawn key
-    head = [seed & _MASK32]
-    while seed := seed >> 32:
-        head.append(seed & _MASK32)
-    head.append(point_index)
-    run = np.zeros((t.size, max(_POOL, len(head) + 1)), dtype=np.uint32)
-    run[:, :len(head)] = head
-    run[:, len(head)] = t
-    pool = _hashmix(run[:, :_POOL], 0, _POOL)
-    k = _POOL
-    for src in range(_POOL):
-        # the updates from one source word read no other destination word
-        dst = [d for d in range(_POOL) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1], k, _POOL - 1))
-        k += _POOL - 1
-    for word in run.T[_POOL:]:
-        pool = _absorb(pool, word, k)
-        k += _POOL
-    # the spawn key's words come last: (1,) for snapshots, (0, j) for element j
-    snap = _pcg64_states(_absorb(pool, np.ones(1, dtype=np.uint32), k))
-    if not elements:
-        return snap, None
-    pert = _absorb(pool, np.zeros(1, dtype=np.uint32), k)
-    j = np.arange(elements, dtype=np.uint32)
-    return snap, _pcg64_states(_absorb(pert[:, None], j, k + _POOL))
 
 
 class _TrialEngine:
@@ -208,15 +110,6 @@ class _TrialEngine:
         by a trial rather than with the engine."""
         return np.random.Generator(np.random.PCG64(0))
 
-    def _load(self, pair: tuple[int, int]) -> np.random.Generator:
-        """The shared generator in the stream whose PCG64 (state, inc) is
-        `pair`, as default_rng of that stream's SeedSequence starts."""
-        state, inc = pair
-        self._rng.bit_generator.state = {"bit_generator": "PCG64",
-                                         "state": {"state": state, "inc": inc},
-                                         "has_uint32": 0, "uinteger": 0}
-        return self._rng
-
     def _chunk(self, sources: int) -> int:
         """Trials per chunk: at most _SEED_CHUNK, and few enough that no
         stacked array of the chunk passes _CHUNK_BYTES. Per trial, the draws
@@ -263,11 +156,10 @@ class _TrialEngine:
             b = len(snaps)
             if perturbed:
                 gains = perturbed_gains(self.pattern, self.perturbation,
-                                        map(self._load, elements), scenario.angles)
+                                        loaded(self._rng, elements), scenario.angles)
                 steering = self._coupled(gains.reshape(b, n, l) * ramp)
             sr, nr = np.empty((b, 2, l, k)), np.empty((b, 2, n, k))
-            for i, snap in enumerate(snaps):
-                rng = self._load(snap)
+            for i, rng in enumerate(loaded(self._rng, snaps)):
                 rng.standard_normal(out=sr[i])
                 rng.standard_normal(out=nr[i])
             r = sample_covariance(_synthesize(steering, scenario.per_source_snr_db, sr, nr))
@@ -346,80 +238,3 @@ def run_overloaded_demo(config: ExperimentConfig) -> tuple[Pseudospectrum, DoaEs
     window = fov_window(engine.grid, config.fov_deg, guard=1)
     spectrum = Pseudospectrum(engine.grid[window], _spectrum(en, engine.steering)[window])
     return spectrum, pick_peaks(spectrum, config.source_count, config.fov_deg)
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """One-way free-space (impedance ETA_0) link for the SNR-to-range mapping."""
-
-    transmit_power_w: float
-    transmit_gain: float
-    wavelength_m: float
-    noise_power_w: float
-
-    def __post_init__(self):
-        for name in ("transmit_power_w", "transmit_gain", "wavelength_m", "noise_power_w"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-
-
-def snr_to_range(budget: LinkBudget, snr_linear: float) -> float:
-    """Range (meters) at which a link delivers the given linear SNR.
-
-    Inverts the free-space propagation law: the received field power
-    density falls as 1/r^2, so r = sqrt(P_t G_t lam^2 /
-    (16 pi^2 eta_0 P_N SNR)).
-    """
-    if not 0.0 < snr_linear < math.inf:
-        raise ValueError(f"snr_linear must be finite and > 0, got {snr_linear}")
-    num = budget.transmit_power_w * budget.transmit_gain * budget.wavelength_m ** 2
-    den = 16.0 * math.pi ** 2 * ETA_0 * budget.noise_power_w * snr_linear
-    return math.sqrt(num / den)
-
-
-def range_ratio(snr0_db: float, snr_db: float) -> float:
-    """Range gain from operating at snr_db instead of reference snr0_db.
-
-    The SNR ratio enters under a square root: received power already
-    falls as 1/r^2, so reading the ratio linearly would double count.
-    A 20 dB sensitivity improvement therefore buys a 10x range
-    extension, not 100x. Multiplicative across chained differences.
-    """
-    return math.sqrt(10.0 ** ((snr0_db - snr_db) / 10.0))
-
-
-def required_snr_for_rmse(curve: SweepResult, target_rmse_deg: float) -> float:
-    """Smallest SNR (dB) on an snr-sweep curve achieving the target RMSE.
-
-    Only the high-SNR suffix on which the curve is non-increasing is used,
-    which excludes the noisy low-SNR threshold region. Between grid points
-    the curve is interpolated linearly in (SNR, log10 RMSE); an exact
-    grid-point hit returns that grid SNR, and so does a bracketing point of
-    RMSE 0, where log10 RMSE has no finite value to interpolate to.
-    """
-    snr = np.asarray(curve.params, dtype=float)
-    err = np.asarray(curve.rmse_deg, dtype=float)
-    if snr.shape != err.shape:
-        raise ValueError(f"curve has {snr.size} SNRs but {err.size} RMSEs")
-    if snr.size < 2 or not np.isfinite(snr).all() or np.any(np.diff(snr) <= 0):
-        raise ValueError("curve needs >= 2 points with finite, strictly increasing SNR")
-    if not np.all((err >= 0) & (err < math.inf)):
-        raise ValueError(f"curve RMSEs must be finite and >= 0, got {curve.rmse_deg}")
-    if not 0.0 < target_rmse_deg < math.inf:
-        raise ValueError(f"target RMSE must be finite and > 0, got {target_rmse_deg}")
-
-    start = snr.size - 1
-    while start > 0 and err[start - 1] >= err[start]:
-        start -= 1
-    s, e = snr[start:], err[start:]
-    if target_rmse_deg < e[-1] or target_rmse_deg > e[0]:
-        raise ValueError(f"target {target_rmse_deg} outside the achievable range "
-                         f"[{e[-1]:.6g}, {e[0]:.6g}] of the monotone curve segment")
-    for i in range(e.size):
-        if e[i] <= target_rmse_deg:
-            if e[i] == target_rmse_deg or e[i] == 0 or i == 0:
-                return float(s[i])
-            t = ((math.log10(target_rmse_deg) - math.log10(e[i - 1]))
-                 / (math.log10(e[i]) - math.log10(e[i - 1])))
-            return float(s[i - 1] + t * (s[i] - s[i - 1]))
-    raise AssertionError("unreachable: target inside verified range")

@@ -1,20 +1,22 @@
+import ast
 import dataclasses
 import io
 import itertools
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from doasim import config, estimators, experiments
+from doasim import _streams, config, coverage, estimators, experiments
 from doasim.config import (_OVERLOADED_ANGLES, ESTIMATORS, ConfigError, ExperimentConfig,
                            SweepResult, parse_config_text, read_results, write_results)
 from doasim.estimators import (Pseudospectrum, _spectrum, azimuth_grid, coarray_music,
                                fov_window, music_pseudospectrum, pick_peaks)
-from doasim.experiments import (LinkBudget, range_ratio, required_snr_for_rmse, rmse,
-                                run_overloaded_demo, run_point, run_sweep, snr_to_range)
+from doasim.experiments import rmse, run_overloaded_demo, run_point, run_sweep
 from doasim.manifold import (ArrayManifold, apply_coupling_model, generate_snapshots,
                              make_manifold, sample_covariance, steering_matrix)
 from doasim.patterns import export_tabulated, make_vivaldi, perturb
@@ -469,44 +471,6 @@ def test_engine_data_steering_matches_public_replay(table_file, kind, c1, phase_
     assert np.array_equal(seen[0], steering_matrix(replay, scenario.angles))
 
 
-@pytest.fixture(scope="module")
-def loader():
-    """An engine's stream loader: it sets the engine's one generator."""
-    return experiments._TrialEngine(_tiny_config())._load
-
-
-_SEED = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
-                  st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
-                  st.integers(2**64, 2**200))
-_INDEX = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=_SEED, point=_INDEX, trials=st.lists(_INDEX, min_size=1, max_size=4),
-       elements=st.integers(1, 16))
-def test_stream_states_match_seed_sequence(loader, seed, point, trials, elements):
-    # the bulk kernel reproduces SeedSequence([seed, p, t]).spawn(2), the first
-    # child's spawn(elements) and PCG64's seeding; a numpy release that seeds
-    # differently fails here instead of silently moving every output
-    snap, elems = experiments._stream_states(seed, point, trials, elements)
-    assert len(snap) == len(trials) and len(elems) == len(trials) * elements
-    for i, t in enumerate(trials):
-        pert_seq, snap_seq = np.random.SeedSequence([seed, point, t]).spawn(2)
-        pairs = [snap[i], *elems[i * elements:(i + 1) * elements]]
-        for seq, pair in zip([snap_seq, *pert_seq.spawn(elements)], pairs):
-            expected, got = np.random.default_rng(seq), loader(pair)
-            assert got.bit_generator.state == expected.bit_generator.state
-            assert got.standard_normal() == expected.standard_normal()
-            assert got.uniform() == expected.uniform()
-            assert got.normal(1.0, 2.0) == expected.normal(1.0, 2.0)
-
-
-def test_stream_states_reject_indices_past_one_word():
-    for trial in (-1, 2**32):
-        with pytest.raises(ValueError, match="trial indices"):
-            experiments._stream_states(0, 0, [trial], 0)
-
-
 def test_run_point_errors_do_not_depend_on_seed_chunks(monkeypatch):
     # trials run in stacked chunks; neither the chunk size nor a trial's place
     # in its chunk may show in the errors: one chunk of the whole point, the
@@ -808,113 +772,39 @@ def test_overloaded_demo_runs_and_is_deterministic():
         run_overloaded_demo(_tiny_config())
 
 
-# ------------------------------------------------------------- link budget
+# ------------------------------------------------------------ module seams
 
-def test_snr_to_range_reference_case():
-    budget = LinkBudget(transmit_power_w=16.0 * math.pi ** 2 * 376.730,
-                        transmit_gain=1.0, wavelength_m=1.0,
-                        noise_power_w=1.0)
-    assert abs(snr_to_range(budget, 1.0) - 1.0) < 1e-12
-    assert abs(snr_to_range(budget, 4.0) - 0.5) < 1e-12
+def _tree(module) -> ast.Module:
+    return ast.parse(Path(module.__file__).read_text())
 
 
-def test_snr_to_range_validation():
-    budget = LinkBudget(1.0, 1.0, 0.1, 1e-12)
-    with pytest.raises(ValueError):
-        snr_to_range(budget, 0.0)
-    with pytest.raises(ValueError):
-        snr_to_range(budget, -2.0)
-    with pytest.raises(ValueError):
-        LinkBudget(0.0, 1.0, 0.1, 1e-12)
-    with pytest.raises(ValueError, match="transmit_power_w"):
-        LinkBudget(math.nan, 1.0, 0.1, 1e-12)
-    for snr in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="snr_linear"):
-            snr_to_range(budget, snr)
+def _defined(tree: ast.Module) -> set:
+    """The names `tree` binds at module level, and its classes' methods."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.update(n.name for n in node.body if isinstance(n, ast.FunctionDef))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
 
 
-def test_range_ratio_values():
-    assert range_ratio(-5.0, -5.0) == 1.0
-    assert abs(range_ratio(-5.0, 15.0) - 0.1) < 1e-12
-    assert abs(range_ratio(-5.0, -25.0) - 10.0) < 1e-12
+def _imported(tree: ast.Module) -> list:
+    """(level, module) of every import in `tree`; level 0 is absolute."""
+    return [(0, a.name) for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names] + [
+        (n.level, n.module or "") for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
 
 
-def test_range_ratio_multiplicative():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        a, b, c = rng.uniform(-40.0, 20.0, 3)
-        assert abs(range_ratio(a, c) - range_ratio(a, b) * range_ratio(b, c)) < 1e-12
-
-
-def test_range_ratio_consistent_with_budget():
-    budget = LinkBudget(3.0, 2.5, 0.12, 4e-13)
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        s0_db, s_db = rng.uniform(-30.0, 30.0, 2)
-        direct = (snr_to_range(budget, 10.0 ** (s_db / 10.0))
-                  / snr_to_range(budget, 10.0 ** (s0_db / 10.0)))
-        assert abs(direct - range_ratio(s0_db, s_db)) < 1e-12
-
-
-# ------------------------------------------------------- snr interpolation
-
-def _curve(params, rmses) -> SweepResult:
-    n = len(params)
-    return SweepResult(params=tuple(params), rmse_deg=tuple(rmses),
-                       trials=(100,) * n, fill_counts=(0,) * n)
-
-
-def test_required_snr_exact_grid_hit():
-    curve = _curve((-10.0, -5.0, 0.0, 5.0), (3.0, 1.0, 0.1, 0.01))
-    assert required_snr_for_rmse(curve, 0.1) == 0.0
-    assert required_snr_for_rmse(curve, 3.0) == -10.0
-    # log10(0) has no finite value: a zero-RMSE bracketing point gives its own SNR
-    zero = _curve((-5.0, 0.0, 5.0), (1.0, 0.1, 0.0))
-    assert required_snr_for_rmse(zero, 0.05) == 5.0
-
-
-def test_required_snr_log_interpolation():
-    curve = _curve((0.0, 5.0), (0.1, 0.01))
-    # halfway in log10(rmse) lands halfway in snr
-    assert abs(required_snr_for_rmse(curve, 10.0 ** -1.5) - 2.5) < 1e-9
-
-
-def test_required_snr_uses_monotone_suffix():
-    # threshold bump at low SNR must be excluded from the search
-    curve = _curve((-10.0, -5.0, 0.0, 5.0), (0.5, 1.5, 0.1, 0.01))
-    got = required_snr_for_rmse(curve, 0.4)
-    assert got > -5.0
-    expect = -5.0 + 5.0 * ((math.log10(0.4) - math.log10(1.5))
-                           / (math.log10(0.1) - math.log10(1.5)))
-    assert abs(got - expect) < 1e-9
-
-
-def test_required_snr_out_of_range():
-    curve = _curve((-5.0, 0.0, 5.0), (1.0, 0.1, 0.01))
-    with pytest.raises(ValueError):
-        required_snr_for_rmse(curve, 0.001)
-    with pytest.raises(ValueError):
-        required_snr_for_rmse(curve, 2.0)
-    with pytest.raises(ValueError):
-        required_snr_for_rmse(_curve((1.0,), (0.1,)), 0.1)
-    with pytest.raises(ValueError):
-        required_snr_for_rmse(curve, 0.0)
-    with pytest.raises(ValueError, match="target RMSE"):
-        required_snr_for_rmse(curve, math.nan)
-    with pytest.raises(ValueError, match="SNR"):
-        required_snr_for_rmse(_curve((-5.0, math.nan, 5.0), (1.0, 0.1, 0.01)), 0.1)
-    with pytest.raises(ValueError, match="RMSEs"):
-        required_snr_for_rmse(_curve((-5.0, 0.0, 5.0), (1.0, math.nan, 0.01)), 0.1)
-
-
-def test_required_snr_rejects_mismatched_lengths():
-    # SweepResult checks nothing; the helper names both lengths
-    curve = SweepResult(params=(0.0, 5.0, 10.0), rmse_deg=(1.0, 0.1), trials=(100,) * 3,
-                        fill_counts=(0,) * 3)
-    with pytest.raises(ValueError, match="3 SNRs but 2 RMSEs"):
-        required_snr_for_rmse(curve, 0.5)
-
-
-def test_required_snr_plateau_returns_smallest():
-    curve = _curve((-5.0, 0.0, 5.0, 10.0), (1.0, 0.5, 0.5, 0.2))
-    assert required_snr_for_rmse(curve, 0.5) == 0.0
+def test_streams_and_coverage_are_split_from_the_engine():
+    # the streams can be replaced whole, the engine keeps none of the moved
+    # code, and the coverage helpers do not depend on the engine
+    streams, cover = _tree(_streams), _tree(coverage)
+    for level, module in _imported(streams):
+        assert level == 0 and module.split(".")[0] in {"numpy", *sys.stdlib_module_names}
+    moved = _defined(streams) | _defined(cover)
+    assert {"_stream_states", "loaded", "ETA_0", "range_ratio"} <= moved
+    assert not (_defined(_tree(experiments)) & (moved | {"_load"}))
+    assert not [m for _, m in _imported(cover) if "experiments" in m.split(".")]
