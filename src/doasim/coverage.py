@@ -41,7 +41,11 @@ def snr_to_range(budget: LinkBudget, snr_linear: float) -> float:
         raise ValueError(f"snr_linear must be finite and > 0, got {snr_linear}")
     num = budget.transmit_power_w * budget.transmit_gain * budget.wavelength_m ** 2
     den = 16.0 * math.pi ** 2 * ETA_0 * budget.noise_power_w * snr_linear
-    return math.sqrt(num / den)
+    try:
+        r = math.sqrt(num / den)
+    except ZeroDivisionError:
+        r = math.inf
+    return _in_float_range(r, f"snr_linear {snr_linear}: the range")
 
 
 def range_ratio(snr0_db: float, snr_db: float) -> float:
@@ -52,7 +56,22 @@ def range_ratio(snr0_db: float, snr_db: float) -> float:
     A 20 dB sensitivity improvement therefore buys a 10x range
     extension, not 100x. Multiplicative across chained differences.
     """
-    return math.sqrt(10.0 ** ((snr0_db - snr_db) / 10.0))
+    for name, value in (("snr0_db", snr0_db), ("snr_db", snr_db)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    try:
+        ratio = math.sqrt(10.0 ** ((snr0_db - snr_db) / 10.0))
+    except OverflowError:
+        ratio = math.inf
+    return _in_float_range(ratio, f"range ratio of snr0_db {snr0_db} to snr_db {snr_db}")
+
+
+def _in_float_range(value: float, what: str) -> float:
+    """`value` if it is finite and > 0; else `what` overflowed or underflowed
+    a float on the way, and a ValueError says so."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} leaves the float range")
+    return value
 
 
 def required_snr_for_rmse(curve: SweepResult, target_rmse_deg: float) -> float:

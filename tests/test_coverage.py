@@ -1,5 +1,6 @@
 """The coverage helpers: link budget, range ratio and required SNR."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,12 +32,31 @@ def test_snr_to_range_validation():
     for snr in (math.nan, math.inf):
         with pytest.raises(ValueError, match="snr_linear"):
             snr_to_range(budget, snr)
+    # a budget whose numerator overflows: 0 / 0 or inf / x on the way
+    extreme = LinkBudget(1e300, 1e10, 1.0, 1e-300)
+    for snr in (1e-300, 1.0):
+        with pytest.raises(ValueError, match=f"snr_linear {snr}: .*float range"):
+            snr_to_range(extreme, snr)
+    with pytest.raises(ValueError, match="float range"):
+        snr_to_range(LinkBudget(1e-300, 1e-300, 1.0, 1.0), 1.0)
 
 
 def test_range_ratio_values():
     assert range_ratio(-5.0, -5.0) == 1.0
     assert abs(range_ratio(-5.0, 15.0) - 0.1) < 1e-12
     assert abs(range_ratio(-5.0, -25.0) - 10.0) < 1e-12
+
+
+def test_range_ratio_validation():
+    for snr0_db, snr_db, name in ((math.nan, 0.0, "snr0_db"), (math.inf, 0.0, "snr0_db"),
+                                  (0.0, math.inf, "snr_db"), (0.0, -math.inf, "snr_db")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            range_ratio(snr0_db, snr_db)
+    # 10**500 overflows, 10**-500 underflows to 0, 1e308 - -1e308 is inf
+    for snr0_db, snr_db in ((5000.0, 0.0), (0.0, 5000.0), (1e308, -1e308)):
+        with pytest.raises(ValueError, match=re.escape(f"snr0_db {snr0_db} to snr_db {snr_db} "
+                                                       f"leaves the float range")):
+            range_ratio(snr0_db, snr_db)
 
 
 def test_range_ratio_multiplicative():
