@@ -70,6 +70,8 @@ def test_parse_reports_line_numbers():
                           "trials = many\nmanifold.pattern = isotropic\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("family = fixed-scenario\nfamily = snr-sweep\n")
+    with pytest.raises(ConfigError, match="line 2: empty key"):
+        parse_config_text("family = fixed-scenario\n = 5\n")
 
 
 @pytest.mark.parametrize("pattern, line4", [

@@ -290,6 +290,8 @@ def test_pseudospectrum_validation():
         _spectrum([0.0, 1.0, 2.0], [1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
         _spectrum([0.0, 1.0, 2.0], [1.0, np.inf, 1.0])
+    with pytest.raises(ValueError, match="equal-length"):
+        _spectrum([0.0, 1.0, 2.0], [1.0, 1.0])
 
 
 # ----------------------------------------------------------------- coarray
@@ -330,6 +332,11 @@ def test_coarray_rejects_holey_geometry():
     holey = ArrayGeometry((0, 1, 6))
     with pytest.raises(GeometryError):
         coarray_covariance(np.eye(3, dtype=complex), holey)
+
+
+def test_coarray_rejects_covariance_of_other_size():
+    with pytest.raises(ValueError, match="covariance size 4 != element count 8"):
+        coarray_covariance(np.eye(4), make_mra(8))
 
 
 def test_coarray_music_recovers_source():

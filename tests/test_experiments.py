@@ -83,6 +83,15 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):  # grid must increase
         ExperimentConfig(family="snr-sweep", geometry="ula8",
                          pattern="isotropic", sweep=(0.0, 0.0))
+    # a symmetric pair derives its angles, from half-angles in (0, fov]
+    pair = dict(family="symmetric-pair-angle-sweep", geometry="mra8", pattern="patch")
+    with pytest.raises(ConfigError, match="key 'angles': symmetric-pair") as info:
+        ExperimentConfig(**pair, sweep=(1.0,), angles=(1.0, 2.0))
+    assert info.value.key == "angles"
+    for sweep in ((1.0, 40.0), (-1.0, 4.0)):
+        with pytest.raises(ConfigError, match="key 'sweep': half-angles must be in") as info:
+            ExperimentConfig(**pair, fov_deg=30.0, sweep=sweep)
+        assert info.value.key == "sweep"
 
 
 def test_config_rejects_too_coarse_grid():

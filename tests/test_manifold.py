@@ -116,6 +116,8 @@ def test_manifold_validation():
     bad2 = np.eye(3, dtype=complex) * 2.0
     with pytest.raises(ValueError):
         ArrayManifold(geom, (iso,) * 3, bad2)
+    with pytest.raises(ValueError, match=r"coupling must be 3x3, got \(2, 2\)"):
+        ArrayManifold(geom, (iso,) * 3, np.eye(2, dtype=complex))
 
 
 def test_scenario_validation():

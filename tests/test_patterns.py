@@ -95,6 +95,11 @@ def test_invalid_parameters_rejected():
         make_vivaldi(null_angle_deg=0.0)
     with pytest.raises(PatternError):
         make_vivaldi(ripple_period_deg=-5.0)
+    with pytest.raises(PatternError, match="main_exponent") as info:
+        make_vivaldi(main_exponent=0)
+    assert info.value.param == "main_exponent"
+    with pytest.raises(PatternError, match="unknown pattern kind 'foo'"):
+        evaluate(ElementPattern("foo"), 0.0)
     with pytest.raises(PatternError):
         make_pattern("helix")
     with pytest.raises(PatternError):
@@ -165,6 +170,9 @@ def test_table_parse_errors_name_the_row():
     with pytest.raises(TableError, match="row 4"):
         load_tabulated(io.StringIO("azimuth_deg,gain_dbi,phase_deg\n"
                                    "-90.0,0,0\n0.0,0,0\n-5.0,0,0\n90.0,0,0\n"))
+    with pytest.raises(TableError, match="row 3: non-finite"):
+        load_tabulated(io.StringIO("azimuth_deg,gain_dbi,phase_deg\n"
+                                   "-90.0,0,0\n0.0,nan,0\n90.0,0,0\n"))
 
 
 def test_table_must_span_field_of_view():

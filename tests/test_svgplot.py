@@ -91,6 +91,8 @@ def test_empty_or_degenerate_input_rejected():
         _render(_result((1.0, 2.0), (0.0, -1.0)))  # nothing positive to log
     with pytest.raises(ValueError):
         _render(42)
+    with pytest.raises(ValueError, match="series 'a' is not a SweepResult"):
+        _render({"a": 42})
 
 
 def test_label_escaping():
