@@ -82,9 +82,6 @@ def _cmd_geometry(args) -> int:
     print(f"hole-free coarray: {'yes' if is_perfect(geom) else 'no'}")
     weights = " ".join(f"{m}:{ca.weight(m)}" for m in range(geom.aperture + 1))
     print(f"coarray weights (lag:count): {weights}")
-    holes = [m for m in range(1, geom.aperture + 1) if ca.weight(m) == 0]
-    if holes:
-        print(f"holes: {' '.join(str(h) for h in holes)}")
     return EXIT_OK
 
 
