@@ -802,9 +802,15 @@ def _defined(tree: ast.Module) -> set:
 
 
 def _imported(tree: ast.Module) -> list:
-    """(level, module) of every import in `tree`; level 0 is absolute."""
-    return [(0, a.name) for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names] + [
-        (n.level, n.module or "") for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    """(level, dotted name) of every import in `tree`, with the names taken
+    by `from ... import`; level 0 is absolute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(0, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.level, f"{node.module or ''}.{a.name}") for a in node.names]
+    return found
 
 
 def test_streams_and_coverage_are_split_from_the_engine():
