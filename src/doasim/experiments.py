@@ -182,8 +182,10 @@ def run_point(config: ExperimentConfig, point_index: int, *,
     against config.scenarios[point_index]. The trials run chunk by chunk
     through engine.noise and the engine's pruned search, which bounds a
     chunk in capped groups of rows and certifies it on the union of its
-    trials' kept blocks; each trial is picked by one pick_peaks call, and
-    the point's estimates are scored in one array operation. `engine` lets
+    trials' kept blocks, picking each round's certified trials in one
+    stacked pass. Each trial still goes through one pick_peaks call, which
+    returns the pick its certified spectrum carries, or picks a full scan,
+    and the point's estimates are scored in one array operation. `engine` lets
     a sweep share one engine, built for the same config, across its points.
     """
     points = config.points

@@ -143,3 +143,44 @@ def concatenated_virtual_steering(aperture: int, azimuth_deg) -> np.ndarray:
         rows.append(np.ones((1, az.size)))
     rows.append(np.sqrt(2.0) * np.sin(phase))
     return np.concatenate(rows)
+
+
+def loop_pick(grid, values, count: int, fov: float) -> tuple[tuple[float, ...], int]:
+    """The peak rule pick_peaks documents, on one row of spectrum values, in
+    plain loops and without fills: (sorted clamped angles, peaks found).
+
+    The window holds the grid points with -fov - 1e-12 <= phi < fov + 1e-12.
+    A strict maximum is above both window neighbours, or above its one
+    neighbour at a window end. The `count` largest win; equal values rank
+    interior maxima by index, then the window start, then the window end.
+    A winner off the grid edges is moved to the vertex of the parabola
+    through the logs (numpy's log, one value at a time) of it and its two
+    grid neighbours, by at most half a step, unless the curvature is within
+    the rounding of the three logs. Angles are sorted and clamped to +-fov.
+    """
+    grid = [float(g) for g in grid]
+    vals = [float(v) for v in values]
+    window = [k for k, g in enumerate(grid) if -fov - 1e-12 <= g < fov + 1e-12]
+    n = len(window)
+    candidates = []
+    for p, k in enumerate(window):
+        left = p == 0 or vals[k] > vals[window[p - 1]]
+        right = p == n - 1 or vals[k] > vals[window[p + 1]]
+        if n >= 2 and left and right:
+            tie = n if p == 0 else n + 1 if p == n - 1 else p
+            candidates.append((-vals[k], tie, k))
+    candidates.sort()
+    angles = []
+    for _, _, k in candidates[:count]:
+        angle = grid[k]
+        if 0 < k < len(grid) - 1:
+            ym, y0, yp = (float(np.log(vals[j])) for j in (k - 1, k, k + 1))
+            curv = ym - 2.0 * y0 + yp
+            eps = float(np.finfo(float).eps)
+            if abs(curv) > 4.0 * eps * (abs(ym) + 2.0 * abs(y0) + abs(yp)):
+                delta = min(0.5, max(-0.5, 0.5 * (ym - yp) / curv))
+                step = grid[k + 1] - grid[k] if delta >= 0 else grid[k] - grid[k - 1]
+                angle = grid[k] + delta * step
+        angles.append(angle)
+    angles.sort()
+    return tuple(min(fov, max(-fov, a)) for a in angles), len(angles)

@@ -52,11 +52,21 @@ def test_range_ratio_validation():
                                   (0.0, math.inf, "snr_db"), (0.0, -math.inf, "snr_db")):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             range_ratio(snr0_db, snr_db)
-    # 10**500 overflows, 10**-500 underflows to 0, 1e308 - -1e308 is inf
-    for snr0_db, snr_db in ((5000.0, 0.0), (0.0, 5000.0), (1e308, -1e308)):
+    # 10**350 overflows, 10**-350 underflows to 0, 1e308 - -1e308 is inf
+    for snr0_db, snr_db in ((7000.0, 0.0), (0.0, 7000.0), (1e308, -1e308)):
         with pytest.raises(ValueError, match=re.escape(f"snr0_db {snr0_db} to snr_db {snr_db} "
                                                        f"leaves the float range")):
             range_ratio(snr0_db, snr_db)
+
+
+def test_range_ratio_past_the_float_range_of_the_power_ratio():
+    # 10**(d/10) leaves the float range for |d| above about 3083 dB, though
+    # the range ratio 10**(d/20) does not until about 6165 dB
+    assert range_ratio(4000.0, 0.0) == 10.0 ** 200
+    assert range_ratio(0.0, 4000.0) == 10.0 ** -200
+    assert range_ratio(6000.0, 0.0) == 10.0 ** 300
+    # just inside the power ratio's range the ratio keeps its square-root form
+    assert range_ratio(3000.0, 0.0) == math.sqrt(10.0 ** 300)
 
 
 def test_range_ratio_multiplicative():
@@ -125,6 +135,15 @@ def test_required_snr_out_of_range():
         required_snr_for_rmse(_curve((-5.0, math.nan, 5.0), (1.0, 0.1, 0.01)), 0.1)
     with pytest.raises(ValueError, match="RMSEs"):
         required_snr_for_rmse(_curve((-5.0, 0.0, 5.0), (1.0, math.nan, 0.01)), 0.1)
+
+
+def test_required_snr_rejects_snr_steps_past_the_float_range():
+    # -1e308 to 1e308 is a step of inf: the interpolation would give inf
+    curve = _curve((-1e308, 1e308), (1.0, 0.1))
+    with pytest.raises(ValueError, match="SNR steps must be finite"):
+        required_snr_for_rmse(curve, 0.5)
+    # finite steps on the same scale interpolate as usual
+    assert required_snr_for_rmse(_curve((-1e307, 1e307), (1.0, 0.1)), 0.1) == 1e307
 
 
 def test_required_snr_rejects_mismatched_lengths():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from doasim.manifold import (SourceScenario, generate_snapshots, make_manifold,
 from doasim.patterns import MIN_STEP_DEG, make_isotropic, make_patch
 
 from oracles import (concatenated_virtual_steering, evaluated_values_equal,
-                     loop_coarray_smoothed, naive_coarray_smoothed)
+                     loop_coarray_smoothed, loop_pick, naive_coarray_smoothed)
 
 
 def _iso(geometry):
@@ -223,6 +224,81 @@ def test_pick_peaks_on_fov_window_matches_full_grid(step, fov, count, seed, leve
             pick_peaks(windowed, count, fov)
         return
     assert pick_peaks(windowed, count, fov) == expected
+
+
+def test_pick_peaks_returns_an_attached_pick_for_its_count_and_fov_only():
+    grid = np.linspace(-90.0, 90.0, 181)
+    vals = 1.0 + np.cos(np.deg2rad(grid) * 7.0) ** 2 + 0.01 * np.arange(181) / 181.0
+    public = Pseudospectrum(grid.copy(), vals.copy())
+    marker = DoaEstimateSet(angles=(-1.0, 1.0), filled=(False, False), peaks_found=2)
+    attached = Pseudospectrum._trusted(grid, vals, ((2, 30.0), marker))
+    assert pick_peaks(attached, 2, 30.0) is marker
+    # any other count or fov picks afresh from the values
+    for count, fov in ((1, 30.0), (3, 30.0), (2, 29.0), (2, 90.0)):
+        got = pick_peaks(attached, count, fov)
+        assert got is not marker and got == pick_peaks(public, count, fov)
+    with pytest.raises(ValueError, match="count"):
+        pick_peaks(attached, 0, 30.0)
+
+
+def test_public_spectra_carry_no_attached_pick():
+    grid = np.linspace(-90.0, 90.0, 181)
+    vals = 1.0 + np.cos(np.deg2rad(grid) * 7.0) ** 2
+    marker = DoaEstimateSet(angles=(-1.0, 1.0), filled=(False, False), peaks_found=2)
+    attached = Pseudospectrum._trusted(grid.copy(), vals.copy(), ((2, 30.0), marker))
+    assert Pseudospectrum(grid, vals)._pick is None
+    assert Pseudospectrum._trusted(grid.copy(), vals.copy())._pick is None
+    # a spectrum rebuilt from an attached one, with its values or others,
+    # goes through the constructor and so carries none
+    assert _fresh(attached)._pick is None
+    assert dataclasses.replace(attached, values=vals * 2.0)._pick is None
+    assert pick_peaks(_fresh(attached), 2, 30.0) == pick_peaks(Pseudospectrum(grid, vals), 2, 30.0)
+
+
+def _bits(angles):
+    return [float(a).hex() for a in angles]
+
+
+# 1, 2 and 4 have logs in arithmetic progression, so a rising or falling run
+# of them is a flat-curvature triple; a set this small makes ties common
+_PICK_LEVELS = (1.0, 2.0, 4.0, 3.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(stack=st.lists(st.lists(st.integers(0, 3), min_size=24, max_size=24),
+                      min_size=1, max_size=5),
+       size=st.integers(3, 24), count=st.integers(1, 5),
+       fov=st.one_of(st.just(90.0), st.floats(1.0, 90.0)))
+# maxima on both grid edges, which the whole-grid window's ends are
+@example(stack=[[3, 0, 1, 0, 1, 0, 3] + [0] * 17], size=7, count=3, fov=90.0)
+# maxima on both ends of the window [-30, 30] of a 30 degree grid, refined
+# from the neighbours outside it
+@example(stack=[[0, 0, 3, 0, 3, 0, 0] + [0] * 17, [0, 0, 3, 2, 1, 3, 0] + [0] * 17],
+         size=7, count=2, fov=30.0)
+# a window-end maximum whose grid neighbours make a flat-curvature triple
+# (1, 2, 4), in a row of fewer maxima than count
+@example(stack=[[0, 0, 0, 0, 1, 2, 0] + [0] * 17], size=7, count=2, fov=30.0)
+def test_pick_rows_equals_loop_picker_and_pick_peaks(stack, size, count, fov):
+    # the stacked picker gives every row what the brute-force picker and
+    # pick_peaks give it alone, bit for bit
+    grid = np.linspace(-90.0, 90.0, size)
+    values = np.array([[_PICK_LEVELS[v] for v in row[:size]] for row in stack])
+    got = estimators._pick_rows(grid, values, count, fov)
+    assert len(got) == len(values)
+    window = fov_window(grid, fov)
+    for est, row in zip(got, values):
+        angles, found = loop_pick(grid, row, count, fov)
+        assert _bits(est.angles) == _bits(angles)
+        assert est.peaks_found == found and est.filled == (False,) * found
+        if window.stop - window.start < count:
+            continue
+        alone = pick_peaks(Pseudospectrum(grid, row), count, fov)
+        assert alone.peaks_found == found
+        if found == count:
+            assert alone == est and _bits(alone.angles) == _bits(est.angles)
+        else:
+            picked = [a for a, f in zip(alone.angles, alone.filled) if not f]
+            assert _bits(picked) == _bits(est.angles)
 
 
 @settings(max_examples=200, deadline=None)
@@ -550,6 +626,12 @@ def test_scan_slice_is_block_aligned_and_covers_the_guarded_window():
         assert cut.start > window.start - 16 and cut.stop < window.stop + 16
 
 
+def _fresh(spectrum):
+    """The spectrum through the public constructor, which attaches no pick:
+    pick_peaks on it picks from its values."""
+    return Pseudospectrum(spectrum.grid, spectrum.values)
+
+
 def _pruned_and_full(vals, count, fov=89.0, grid=None):
     """The estimates picked from the pruned search's spectrum, checked equal
     to pick_peaks on the full spectrum, and whether the search returned the
@@ -559,7 +641,7 @@ def _pruned_and_full(vals, count, fov=89.0, grid=None):
     full = Pseudospectrum(grid, estimators._spectrum(en, table))
     [spectrum] = search.spectra(en[None], count)
     got = pick_peaks(spectrum, count, fov)
-    assert got == pick_peaks(full, count, fov)
+    assert got == pick_peaks(full, count, fov) == pick_peaks(_fresh(spectrum), count, fov)
     assert spectrum.grid[0] == grid[0] and spectrum.grid[-1] == grid[-1]
     assert evaluated_values_equal(spectrum, full)
     return got, int(spectrum.grid.size == grid.size)
@@ -776,7 +858,8 @@ def _chunk_matches_full_scans(grid, rows, count, fov):
     assert len(spectra) == len(rows)
     for spectrum, en in zip(spectra, ens):
         full = Pseudospectrum(grid, estimators._spectrum(en, table))
-        assert pick_peaks(spectrum, count, fov) == pick_peaks(full, count, fov)
+        want = pick_peaks(full, count, fov)
+        assert pick_peaks(spectrum, count, fov) == want == pick_peaks(_fresh(spectrum), count, fov)
         assert spectrum.grid[0] == grid[0] and spectrum.grid[-1] == grid[-1]
         assert evaluated_values_equal(spectrum, full)
     return [spectrum.grid.size == grid.size for spectrum in spectra]

@@ -653,7 +653,16 @@ def test_sweep_picks_each_trial_once_through_experiments_pick_peaks(monkeypatch,
     assert len(calls) == len(full) == cfg.trials * len(cfg.points)
     for (spectrum, count, fov), want in zip(calls, full):
         assert type(spectrum) is Pseudospectrum and (count, fov) == (l, cfg.fov_deg)
-        assert pick_peaks(spectrum, l, fov) == pick_peaks(want, l, fov)
+        expected = pick_peaks(want, l, fov)
+        assert pick_peaks(spectrum, l, fov) == expected
+        # a certified compact spectrum carries the round's stacked pick for
+        # exactly (l, fov), which is the full scan's; a full scan carries none
+        certified = spectrum.grid.size < engine.grid.size
+        assert (spectrum._pick is not None) == certified
+        if certified:
+            assert spectrum._pick[0] == (l, cfg.fov_deg) and spectrum._pick[1] == expected
+            fresh = Pseudospectrum(spectrum.grid, spectrum.values)
+            assert pick_peaks(fresh, l, fov) == expected
     # the contract covers the certified compact spectra, not only full scans
     assert any(spectrum.grid.size < engine.grid.size for spectrum, _, _ in calls)
 
