@@ -413,17 +413,34 @@ def _pick_rows(grid: np.ndarray, values: np.ndarray, count: int,
     window = fov_window(grid, fov)
     w = values[:, window]
     n = w.shape[1]
-    # np.nonzero of a 2-d mask takes several times as long
-    rows, idx = np.divmod(np.flatnonzero(_maxima(w)), n)
-    # pick order: by row, then value descending, then interior maxima by
-    # index, the window start, the window end
-    tie = np.where(idx == 0, n, np.where(idx == n - 1, n + 1, idx))
-    order = np.lexsort((tie, -w[rows, idx], rows))
-    found = np.bincount(rows, minlength=len(w))
-    # each maximum's place in its row's pick order
-    place = np.arange(rows.size) - np.repeat(np.cumsum(found) - found, found)
-    keep = place < count
-    rows, i = rows[order[keep]], idx[order[keep]] + window.start
+    if len(w) == 1:
+        # one row needs no row key: its maxima in pick order for equal values
+        # (interior ones by index, the window start, the window end), then a
+        # stable sort by value descending of those at or above the count-th
+        # largest value, as no other one can win
+        mask = _maxima(w[0])
+        ends = [i for i in (0, n - 1) if n and mask[i]]
+        maxima = np.concatenate((np.flatnonzero(mask[1:-1]) + 1, np.array(ends, dtype=np.intp)))
+        found = np.array([maxima.size])
+        top = w[0, maxima]
+        if maxima.size > count:
+            keep = top >= np.partition(top, maxima.size - count)[maxima.size - count]
+            maxima, top = maxima[keep], top[keep]
+        order = np.argsort(-top, kind="stable")[:count]
+        rows, i, place = np.zeros(order.size, dtype=np.intp), maxima[order], np.arange(order.size)
+    else:
+        # np.nonzero of a 2-d mask takes several times as long
+        rows, idx = np.divmod(np.flatnonzero(_maxima(w)), n)
+        # pick order: by row, then value descending, then interior maxima by
+        # index, the window start, the window end
+        tie = np.where(idx == 0, n, np.where(idx == n - 1, n + 1, idx))
+        order = np.lexsort((tie, -w[rows, idx], rows))
+        found = np.bincount(rows, minlength=len(w))
+        # each maximum's place in its row's pick order
+        place = np.arange(rows.size) - np.repeat(np.cumsum(found) - found, found)
+        keep = place < count
+        rows, i, place = rows[order[keep]], idx[order[keep]], place[keep]
+    i = i + window.start
     at = np.minimum(np.maximum(i[:, None] + np.arange(-1, 2), 0), grid.size - 1)
     ym, y0, yp = np.log(values[rows[:, None], at]).T
     curv = ym - 2.0 * y0 + yp
@@ -434,7 +451,7 @@ def _pick_rows(grid: np.ndarray, values: np.ndarray, count: int,
     delta = np.minimum(0.5, np.maximum(-0.5, 0.5 * (ym - yp) / np.where(flat, 1.0, curv)))
     gm, g0, gp = grid[at].T
     picks = np.full((len(w), count), np.inf)
-    picks[rows, place[keep]] = np.where(
+    picks[rows, place] = np.where(
         flat, g0, g0 + delta * np.where(delta >= 0, gp - g0, g0 - gm))
     picks.sort(axis=1)
     picks = np.minimum(fov, np.maximum(-fov, picks)).tolist()

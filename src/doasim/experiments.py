@@ -131,15 +131,16 @@ class _TrialEngine:
         The point's phase ramp and, when nothing is perturbed, data steering
         are computed once per call, from cfg.scenarios. Per chunk, one
         _stream_states call seeds the streams, one perturbed_gains call
-        draws every element deviation of a perturbed config, and each
-        trial's snapshot stream fills its slices of the source and noise
-        draws; every stream loads the one shared generator. Mixing,
-        covariance and the eigen-kernel (element-music's eigh, or
-        coarray-music's _lag_smoothing and _coarray_noise) then run once on
-        the stack, each trial bit for bit as alone. The kernels skip the public
-        functions' checks: the config validated the source count, geometry
-        and estimator, and sample_covariance is exactly Hermitian, so
-        element-music runs a bare eigh.
+        draws every element deviation of a perturbed config into stacked
+        arrays, the phase noise only up to the last grid node the point's
+        angles read, and each trial's snapshot stream fills its slices of
+        the source and noise draws; every stream loads the one shared
+        generator. Mixing, covariance and the eigen-kernel (element-music's
+        eigh, or coarray-music's _lag_smoothing and _coarray_noise) then run
+        once on the stack, each trial bit for bit as alone. The kernels skip
+        the public functions' checks: the config validated the source count,
+        geometry and estimator, and sample_covariance is exactly Hermitian,
+        so element-music runs a bare eigh.
         """
         cfg = self.cfg
         scenario = cfg.scenarios[index]
@@ -156,7 +157,8 @@ class _TrialEngine:
             b = len(snaps)
             if perturbed:
                 gains = perturbed_gains(self.pattern, self.perturbation,
-                                        loaded(self._rng, elements), scenario.angles)
+                                        loaded(self._rng, elements), scenario.angles,
+                                        rows=b * n)
                 steering = self._coupled(gains.reshape(b, n, l) * ramp)
             sr, nr = np.empty((b, 2, l, k)), np.empty((b, 2, n, k))
             for i, rng in enumerate(loaded(self._rng, snaps)):

@@ -190,6 +190,18 @@ def _azimuths(azimuth_deg) -> np.ndarray:
     return az
 
 
+def _segments(az: np.ndarray) -> np.ndarray:
+    """Index j of the noise-grid segment [x_j, x_j+1] that _interp_noise
+    reads at each azimuth: it reads nodes j and j + 1 only."""
+    return np.clip(np.searchsorted(_NOISE_GRID, az, side="right") - 1, 0, _NOISE_GRID.size - 2)
+
+
+def _noise_nodes(az: np.ndarray) -> int:
+    """How many leading phase-noise nodes _interp_noise reads at the
+    azimuths az: 2 at -90 degrees, all 181 at +90, none at no azimuth."""
+    return int(_segments(az).max(initial=-2)) + 2
+
+
 def _interp_noise(az: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """np.interp(az, _NOISE_GRID, row) for every row of noise at once.
 
@@ -197,7 +209,7 @@ def _interp_noise(az: np.ndarray, noise: np.ndarray) -> np.ndarray:
     [x_j, x_j+1) holding x (exactly y_j on a node), and the last value at
     the last node.
     """
-    j = np.clip(np.searchsorted(_NOISE_GRID, az, side="right") - 1, 0, _NOISE_GRID.size - 2)
+    j = _segments(az)
     x0, x1 = _NOISE_GRID[j], _NOISE_GRID[j + 1]
     y0, y1 = noise[..., j], noise[..., j + 1]
     y = (y1 - y0) / (x1 - x0) * (az - x0) + y0
@@ -232,17 +244,30 @@ def evaluate(pattern: ElementPattern, azimuth_deg) -> np.ndarray:
     return g[0] if np.ndim(azimuth_deg) == 0 else g
 
 
-def _draw(kind: str, perturbation: PatternPerturbation,
-          rng: np.random.Generator) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """One element's raw deviation draws, in a fixed order: uniforms on
-    [0, 1) for the shape-parameter scales, then standard normals for the
-    phase-noise grid. Either is None when switched off; _deviation maps
-    them."""
+def _draw(kind: str, perturbation: PatternPerturbation, rngs, rows: int,
+          nodes: int = _NOISE_GRID.size) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The raw deviation draws of `rows` elements, one row each: a (rows, k)
+    array of uniforms on [0, 1) for the k shape-parameter scales, then a
+    (rows, nodes) array of standard normals for the first `nodes` points of
+    the phase-noise grid. Either is None when switched off; _deviation maps
+    them. Row i is drawn, in that fixed order, by the i-th generator of
+    `rngs`, before the next one is taken; fewer than `rows` generators
+    raise ValueError. A generator's first `nodes` normals are those of its
+    draw of the whole grid, so a prefix that holds every node _interp_noise
+    reads gives the same gains."""
     u = z = None
     if perturbation.param_tolerance > 0.0:
-        u = rng.random(len(_SHAPE_PARAMS[kind]))
+        u = np.empty((rows, len(_SHAPE_PARAMS[kind])))
     if perturbation.phase_noise_std_deg > 0.0:
-        z = rng.standard_normal(_NOISE_GRID.size)
+        z = np.empty((rows, nodes))
+    i = -1
+    for i, rng in zip(range(rows), rngs):
+        if u is not None:
+            rng.random(out=u[i])
+        if z is not None:
+            rng.standard_normal(out=z[i])
+    if i + 1 < rows:
+        raise ValueError(f"rngs gave {i + 1} generators for {rows} rows")
     return u, z
 
 
@@ -268,40 +293,46 @@ def perturb(pattern: ElementPattern, perturbation: PatternPerturbation,
             rng: np.random.Generator) -> ElementPattern:
     """Realize one manufacturing deviation of a pattern.
 
-    Draw order is fixed (shape parameter scales, then the phase-noise grid)
-    so a given rng state maps to exactly one perturbed pattern. Zero
+    Draw order is fixed (shape parameter scales, then the whole phase-noise
+    grid) so a given rng state maps to exactly one perturbed pattern. Zero
     perturbation returns a pattern that evaluates bit-identically.
     """
     if perturbation.is_zero:
         return pattern
-    scales, noise = _deviation(perturbation, *_draw(pattern.kind, perturbation, rng))
-    params = _scaled(pattern, () if scales is None else scales)
+    scales, noise = _deviation(perturbation, *_draw(pattern.kind, perturbation, [rng], 1))
+    params = _scaled(pattern, () if scales is None else scales[0])
     return ElementPattern(pattern.kind, params, pattern.samples,
-                          None if noise is None else tuple(noise))
+                          None if noise is None else tuple(noise[0]))
 
 
 def perturbed_gains(pattern: ElementPattern, perturbation: PatternPerturbation,
-                    rngs, azimuth_deg) -> np.ndarray:
+                    rngs, azimuth_deg, *, rows: int | None = None) -> np.ndarray:
     """Complex gains of one perturbed copy of `pattern` per generator, (N, K).
 
-    `rngs` is any iterable of N generators, a one-shot iterator included; it
-    is consumed once, in order, each generator making its draws before the
-    next is taken. Row n equals evaluate(perturb(pattern, perturbation,
-    rng_n), azimuth_deg) bit for bit: each generator makes the same draws in
-    the same order, and all N copies are evaluated in one pass with their
-    shape parameters as (N, 1) columns.
+    `rngs` is any iterable of N generators, a one-shot iterator included,
+    and is consumed once, in order. Row n equals evaluate(perturb(pattern,
+    perturbation, rng_n), azimuth_deg) bit for bit: each generator makes the
+    same draws in the same order into stacked arrays, the phase-noise grid
+    only up to the last node the azimuths read, and all N copies are
+    evaluated in one pass with their shape parameters as (N, 1) columns.
+    With `rows` = N given, each generator makes its draws before the next is
+    taken, so one generator may come back reloaded, as the trial engine's
+    streams do, and fewer than N generators raise ValueError; without it,
+    `rngs` is read into a list first.
     """
     az = _azimuths(azimuth_deg)
-    draws = [_draw(pattern.kind, perturbation, rng) for rng in rngs]
+    if rows is None:
+        rngs = list(rngs)
+        rows = len(rngs)
     if perturbation.is_zero:
-        return np.broadcast_to(evaluate(pattern, az), (len(draws), az.size))
-    u, z = ((None if d[0] is None else np.array(d)) for d in zip(*draws))
-    scales, noise = _deviation(perturbation, u, z)
+        return np.broadcast_to(evaluate(pattern, az), (rows, az.size))
+    scales, noise = _deviation(perturbation, *_draw(pattern.kind, perturbation, rngs, rows,
+                                                    _noise_nodes(az)))
     params = pattern.params
     if scales is not None:
         # (params, N, 1): iterating yields one (N, 1) column per shape parameter
         params = _scaled(pattern, scales.T[:, :, None])
-    return np.broadcast_to(_gain(pattern, params, noise, az), (len(draws), az.size))
+    return np.broadcast_to(_gain(pattern, params, noise, az), (rows, az.size))
 
 
 def _parse_row(line: str, lineno: int) -> tuple[float, float, float]:

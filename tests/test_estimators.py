@@ -278,6 +278,9 @@ _PICK_LEVELS = (1.0, 2.0, 4.0, 3.0)
 # a window-end maximum whose grid neighbours make a flat-curvature triple
 # (1, 2, 4), in a row of fewer maxima than count
 @example(stack=[[0, 0, 0, 0, 1, 2, 0] + [0] * 17], size=7, count=2, fov=30.0)
+# a window that holds no grid point, for one row and for a stack
+@example(stack=[[0] * 24], size=4, count=1, fov=1.0)
+@example(stack=[[0] * 24, [1] * 24], size=4, count=2, fov=1.0)
 def test_pick_rows_equals_loop_picker_and_pick_peaks(stack, size, count, fov):
     # the stacked picker gives every row what the brute-force picker and
     # pick_peaks give it alone, bit for bit

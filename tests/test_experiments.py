@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from doasim import _streams, config, coverage, estimators, experiments
 from doasim.config import (_OVERLOADED_ANGLES, ESTIMATORS, ConfigError, ExperimentConfig,
@@ -448,15 +448,24 @@ _ANGLE = st.one_of(st.integers(-90, 90).map(float),
 @settings(max_examples=6, deadline=None)
 @given(geometry=st.sampled_from(["ula4", "ula8", "mra4", "mra8", (0, 1, 5, 7)]),
        angles=st.lists(_ANGLE, min_size=1, max_size=3, unique=True),
-       seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 10**6))
+       seed=st.integers(0, 2**32 - 1),
+       trials=st.lists(st.integers(0, 10**6), min_size=1, max_size=4, unique=True))
+# the engine draws each element's phase noise only up to the last node the
+# angles read: all 181 nodes at +90 degrees, 2 at -90, the angles exactly on
+# nodes or between them
+@example(geometry="ula8", angles=[-90.0, 90.0], seed=0, trials=[0, 1, 2])
+@example(geometry="mra8", angles=[-90.0], seed=2**32 - 1, trials=[3, 9])
+@example(geometry="mra4", angles=[-10.0, 0.0, 10.0], seed=3, trials=[5, 6, 7, 8])
+@example(geometry="ula4", angles=[-89.5, 0.25, 89.999], seed=7, trials=[1, 2, 40])
 def test_engine_data_steering_matches_public_replay(table_file, kind, c1, phase_noise,
                                                     tolerance, geometry, angles, seed,
-                                                    trial):
-    # the engine builds the perturbed, coupled data steering in one pass and
-    # synthesizes the trial's snapshots from it; it must equal steering_matrix
-    # of the manifold the public functions build from the same streams, bit
-    # for bit, nominal or perturbed. A perturbed chunk passes one steering
-    # matrix per trial, a nominal one the matrix all its trials share.
+                                                    trials):
+    # the engine builds the perturbed, coupled data steering of a chunk of
+    # trials in one pass and synthesizes their snapshots from it; each trial's
+    # must equal steering_matrix of the manifold the public functions build
+    # from the same streams, bit for bit, nominal or perturbed. A perturbed
+    # chunk passes one steering matrix per trial, a nominal one the matrix
+    # all its trials share.
     cfg = ExperimentConfig(family="fixed-scenario", geometry=geometry, pattern=kind,
                            pattern_params={"file": table_file} if kind == "tabulated"
                            else {},
@@ -474,10 +483,11 @@ def test_engine_data_steering_matches_public_replay(table_file, kind, c1, phase_
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "_synthesize", recording)
-        next(engine.noise(0, [trial]))
-    replay = _replay_data_manifold(cfg, _trial_streams(cfg, 0, trial)[0])
-    assert len(seen) == 1
-    assert np.array_equal(seen[0], steering_matrix(replay, scenario.angles))
+        next(engine.noise(0, trials))
+    assert len(seen) == (1 if cfg.perturbation().is_zero else len(trials))
+    for t, steering in zip(trials, itertools.cycle(seen)):
+        replay = _replay_data_manifold(cfg, _trial_streams(cfg, 0, t)[0])
+        assert np.array_equal(steering, steering_matrix(replay, scenario.angles))
 
 
 def test_run_point_errors_do_not_depend_on_seed_chunks(monkeypatch):

@@ -306,6 +306,44 @@ def test_noise_interpolation_matches_np_interp(azimuths, rows, seed, log_std):
     assert np.array_equal(patterns._interp_noise(az, noise[0]), expected[0])
 
 
+def test_noise_prefix_holds_every_node_interpolation_reads():
+    # a perturbed gain draws the phase-noise grid only up to the last node
+    # _interp_noise reads; nodes past that prefix must never be read
+    assert patterns._noise_nodes(np.array([90.0])) == 181
+    assert patterns._noise_nodes(np.array([-90.0])) == 2
+    assert patterns._noise_nodes(np.array([-10.0, 10.0])) == 102
+    assert patterns._noise_nodes(np.array([-10.0, 9.5])) == 101
+    assert patterns._noise_nodes(np.array([])) == 0
+    az = np.concatenate([np.arange(-90.0, 91.0), np.linspace(-90.0, 90.0, 1001),
+                         np.random.default_rng(4).uniform(-90.0, 90.0, 200)])
+    noise = np.random.default_rng(5).normal(0.0, 3.0, (3, 181))
+    for a in az:
+        m = patterns._noise_nodes(np.array([a]))
+        assert 2 <= m <= 181
+        poisoned = noise.copy()
+        poisoned[:, m:] = np.nan
+        got = patterns._interp_noise(np.array([a]), poisoned)
+        assert np.array_equal(got, patterns._interp_noise(np.array([a]), noise))
+        assert np.array_equal(got, patterns._interp_noise(np.array([a]), noise[:, :m]))
+
+
+def _reloaded(children):
+    """One generator set to each child's starting state in turn, as the trial
+    engine's streams are loaded."""
+    rng = np.random.default_rng(0)
+    for c in children:
+        rng.bit_generator.state = np.random.default_rng(c).bit_generator.state
+        yield rng
+
+
+def test_perturbed_gains_rejects_fewer_generators_than_rows():
+    # a short iterator would leave rows of the stacked draws unwritten
+    pert = PatternPerturbation(phase_noise_std_deg=3.0, param_tolerance=0.1)
+    children = np.random.SeedSequence(1).spawn(3)
+    with pytest.raises(ValueError, match="gave 2 generators for 3 rows"):
+        perturbed_gains(make_patch(), pert, _reloaded(children[:2]), [0.0], rows=3)
+
+
 _KINDS = [make_isotropic(), make_dipole_ref(), make_patch(), make_vivaldi(),
           load_tabulated(io.StringIO(_small_table()))]
 
@@ -318,13 +356,15 @@ def test_perturbed_gains_rows_equal_perturb_then_evaluate(pattern, azimuths, cou
                                                          seed, std, tol):
     # one broadcast pass over all copies gives each row exactly what
     # perturbing and evaluating that copy alone gives, whether the generators
-    # come as a list or as a one-shot iterator
+    # come as a list, as a one-shot iterator, or as one generator reloaded
+    # before each copy draws, with the row count given
     pert = PatternPerturbation(phase_noise_std_deg=std, param_tolerance=tol)
     children = np.random.SeedSequence(seed).spawn(count)
     expected = [evaluate(perturb(pattern, pert, np.random.default_rng(c)), azimuths)
                 for c in children]
-    for rngs in ([np.random.default_rng(c) for c in children],
-                 iter([np.random.default_rng(c) for c in children])):
-        got = perturbed_gains(pattern, pert, rngs, azimuths)
+    for rngs, rows in (([np.random.default_rng(c) for c in children], None),
+                       (iter([np.random.default_rng(c) for c in children]), None),
+                       (_reloaded(children), count)):
+        got = perturbed_gains(pattern, pert, rngs, azimuths, rows=rows)
         assert got.shape == (count, len(azimuths))
         assert np.array_equal(got, np.stack(expected))
