@@ -22,10 +22,9 @@ import numpy as np
 
 from ._files import csv_text, read_text, write_text
 from .estimators import _DENOM_FLOOR, azimuth_grid, fov_window
-from .geometry import ArrayGeometry, GeometryError, is_perfect, named_geometry
+from .geometry import GeometryError, is_perfect, named_geometry
 from .manifold import CouplingError, SourceScenario, apply_coupling_model, make_manifold
-from .patterns import (ElementPattern, PatternError, PatternPerturbation, TableError,
-                       evaluate, make_pattern)
+from .patterns import PatternError, PatternPerturbation, TableError, evaluate, make_pattern
 
 FAMILIES = ("symmetric-pair-angle-sweep", "snr-sweep", "fixed-scenario",
             "overloaded-demo")
@@ -146,10 +145,11 @@ class ExperimentConfig:
 
     Every value is parsed, checked finite and range-checked here, whether
     the config comes from a file (`from_mapping`) or is built directly; a
-    ConfigError names the offending key. The geometry, the pattern, the
-    perturbation, the coupling matrix and `scenarios`, one SourceScenario
-    per point, are built here once, through the constructors that own their
-    ranges, and every engine reads them.
+    ConfigError names the offending key. The read-only attributes
+    `array_geometry`, `nominal_pattern`, `perturbation`, `coupling` (the
+    coupling matrix, or None) and `scenarios`, one SourceScenario per point,
+    are built here once, through the constructors that own their ranges,
+    and every engine reads them.
     """
 
     family: str
@@ -304,10 +304,10 @@ class ExperimentConfig:
                                             self.coupling_decay).coupling
         # built once here and read by every engine of this config; a tabulated
         # pattern keeps the rows read here, which the fingerprint hashes
-        object.__setattr__(self, "_geometry", geom)
-        object.__setattr__(self, "_pattern", pattern)
-        object.__setattr__(self, "_perturbation", perturbation)
-        object.__setattr__(self, "_coupling", coupling)
+        object.__setattr__(self, "array_geometry", geom)
+        object.__setattr__(self, "nominal_pattern", pattern)
+        object.__setattr__(self, "perturbation", perturbation)
+        object.__setattr__(self, "coupling", coupling)
 
     @property
     def source_count(self) -> int:
@@ -317,15 +317,6 @@ class ExperimentConfig:
     def points(self) -> tuple[float, ...]:
         """Swept parameter values; single-point families report 0.0."""
         return self.sweep if self.sweep else (0.0,)
-
-    def resolve_geometry(self) -> ArrayGeometry:
-        return self._geometry
-
-    def nominal_pattern(self) -> ElementPattern:
-        return self._pattern
-
-    def perturbation(self) -> PatternPerturbation:
-        return self._perturbation
 
     def to_mapping(self) -> dict:
         """Flat dotted-key mapping mirroring the config file format."""
@@ -370,7 +361,7 @@ class ExperimentConfig:
         the rows of a tabulated pattern, not only its path."""
         mapping = self.to_mapping()
         if self.pattern == "tabulated":
-            mapping["manifold.pattern.samples"] = self._pattern.samples
+            mapping["manifold.pattern.samples"] = self.nominal_pattern.samples
         text = json.dumps(mapping, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 

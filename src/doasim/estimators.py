@@ -169,27 +169,28 @@ def _denominators(noise_vecs: np.ndarray, steering: np.ndarray) -> np.ndarray:
     return _sq_norms(np.swapaxes(noise_vecs.conj(), -1, -2) @ steering)
 
 
-def _spectrum(noise_vecs: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    return 1.0 / np.maximum(_denominators(noise_vecs, steering), _DENOM_FLOOR)
-
-
-def _grouped_denominators(ens: np.ndarray, table: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """_denominators(ens, table) of E_n or of the stack ens, written into
-    out, a (B, columns) float array for a stack, in groups of E_n whose
-    product takes at most half of _CHUNK_BYTES, as its squaring temporary,
-    the table and out are held beside it. numpy multiplies each matrix of a
-    stack on its own, so every row is bit for bit what one product of the
-    whole stack gives; a split of the columns would move the bits of a
-    product's last columns."""
+def _grouped_denominators(ens: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """_denominators(ens, table) of E_n or of the stack ens, in groups of E_n
+    whose product takes at most half of _CHUNK_BYTES, as its squaring
+    temporary, the table and the result are held beside it. numpy
+    multiplies each matrix of a stack on its own, so every row is bit for
+    bit what one product of the whole stack gives; a split of the columns
+    would move the bits of a product's last columns."""
     stack = ens.reshape(-1, *ens.shape[-2:])
-    if out is None:
-        out = np.empty((len(stack), table.shape[1]))
+    out = np.empty((len(stack), table.shape[1]))
     row_bytes = ens.shape[-1] * table.shape[1] * np.result_type(ens, table).itemsize
     step = max(1, _CHUNK_BYTES // 2 // row_bytes)
     for i in range(0, len(stack), step):
         out[i:i + step] = _denominators(stack[i:i + step], table)
     return out.reshape(*ens.shape[:-2], -1)
+
+
+def _spectrum(noise_vecs: np.ndarray, steering: np.ndarray) -> np.ndarray:
+    """1 / ||E_n^H a||^2, floored, at every column a of steering, for E_n or
+    for each E_n of a stack: every scan, full or compact, takes this one
+    formula."""
+    denom = _grouped_denominators(noise_vecs, steering)
+    return np.divide(1.0, np.maximum(denom, _DENOM_FLOOR, out=denom), out=denom)
 
 
 def music_pseudospectrum(r: np.ndarray, manifold: ArrayManifold, source_count: int,
@@ -386,7 +387,7 @@ def pick_peaks(spectrum: Pseudospectrum, count: int,
     w = vals[window]
     if w.size < count:
         raise ValueError(f"window has {w.size} points, cannot place {count} estimates")
-    est = _pick_rows(grid, vals[None], count, fov_deg)[0]
+    est = _pick_rows(grid, vals[None], count, fov_deg, window)[0]
     if est.peaks_found == count:
         return est
     # every maximum was picked; the largest other window values fill the rest
@@ -399,25 +400,27 @@ def pick_peaks(spectrum: Pseudospectrum, count: int,
                           peaks_found=est.peaks_found)
 
 
-def _pick_rows(grid: np.ndarray, values: np.ndarray, count: int,
-               fov: float) -> list[DoaEstimateSet]:
+def _pick_rows(grid: np.ndarray, values: np.ndarray, count: int, fov: float,
+               window: slice) -> list[DoaEstimateSet]:
     """pick_peaks(Pseudospectrum(grid, row), count, fov) for every row of the
     stack values (B, grid.size), in one pass and without its checks or
-    fills: a row with fewer than `count` maxima in the window gives them
-    all, with peaks_found saying how many. Each peak off the grid edges
-    moves to the vertex of the parabola through the logs of its value and
-    its two grid neighbours' values, by at most half a step, unless the
-    curvature is within the rounding of the three logs; the array
-    operations repeat, value by value, the float operations of one peak
-    alone (tests/oracles.py's loop_pick)."""
-    window = fov_window(grid, fov)
+    fills, given window = fov_window(grid, fov): a row with fewer than
+    `count` maxima in the window gives them all, with peaks_found saying
+    how many. Each peak off the grid edges moves to the vertex of the
+    parabola through the logs of its value and its two grid neighbours'
+    values, by at most half a step, unless the curvature is within the
+    rounding of the three logs; the array operations repeat, value by
+    value, the float operations of one peak alone (tests/oracles.py's
+    loop_pick)."""
     w = values[:, window]
     n = w.shape[1]
     if len(w) == 1:
         # one row needs no row key: its maxima in pick order for equal values
         # (interior ones by index, the window start, the window end), then a
         # stable sort by value descending of those at or above the count-th
-        # largest value, as no other one can win
+        # largest value, as no other one can win. The stacked ordering below
+        # sorts every maximum, and takes about six times as long on a
+        # noise-like row with thousands of them
         mask = _maxima(w[0])
         ends = [i for i in (0, n - 1) if n and mask[i]]
         maxima = np.concatenate((np.flatnonzero(mask[1:-1]) + 1, np.array(ends, dtype=np.intp)))
@@ -515,10 +518,10 @@ class _PeakSearch:
       under a byte cap (_grouped_denominators), which leaves every value
       as the whole stack's product gives it; only the stack's float rows,
       row_bytes per E_n, span the whole stack.
-    - Compact spectrum. The union's columns, and the first and last column
-      of the table where they do not reach them, with values from the
-      coarse product, which also takes those two columns. It spans the full
-      scan's grid, so pick_peaks accepts the same fov.
+    - Compact spectrum. The union's columns alone, whole blocks in
+      ascending order, with their values from the union's product. It need
+      not span the full scan's grid: a certified one carries its pick, so
+      pick_peaks never checks its fov against it.
     - Certificate. For each E_n, let rest be the largest UB_b of the window
       blocks it did not pick. A window value above rest lies in a block it
       picked, whose columns have their grid neighbours next to them in the
@@ -561,9 +564,8 @@ class _PeakSearch:
             radius.append(np.einsum("ibjk,ibjk->bj", reals, reals).max(axis=1))
             refs.append(start + mid + _SCAN_BLOCK * np.arange(blocks.shape[1]))
         radius = np.sqrt(np.concatenate(radius))
-        self._ends = np.array([0, size - 1])
-        self._refs = np.ascontiguousarray(steering[:, np.concatenate(refs + [self._ends])])
-        norm = float(np.max(np.sqrt(_sq_norms(self._refs[:, :-2].copy())) + radius))
+        self._refs = np.ascontiguousarray(steering[:, np.concatenate(refs)])
+        norm = float(np.max(np.sqrt(_sq_norms(self._refs.copy())) + radius))
         slack = max(1e-12, 4.0 * rows ** 1.5 * np.finfo(float).eps) * norm
         self._shift = radius * (1.0 - 1e-9) + slack
         window = fov_window(grid, fov_deg)
@@ -574,16 +576,15 @@ class _PeakSearch:
     def row_bytes(table: np.ndarray) -> int:
         """Bytes of one E_n's row of the search's float arrays over a table
         shaped as `table` (denominators, bounds, dips and their sorted
-        copy): one value per block and for the table's first and last
-        column. The products behind them run in capped groups of rows."""
-        return 8 * (-(-table.shape[1] // _SCAN_BLOCK) + 2)
+        copy): one value per block. The products behind them run in capped
+        groups of rows."""
+        return 8 * -(-table.shape[1] // _SCAN_BLOCK)
 
     def _bounds(self, en: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(denominator at the reference columns and at the table's first
-        and last column, UB_b for every block), of E_n or of each E_n of a
-        stack, every one bit for bit as if alone."""
+        """(denominator at the reference columns, UB_b for every block), of
+        E_n or of each E_n of a stack, every one bit for bit as if alone."""
         denom = _grouped_denominators(en, self._refs)
-        ub = np.sqrt(denom[..., :-2])
+        ub = np.sqrt(denom)
         ub *= 1.0 - 1e-9
         ub -= self._shift
         np.maximum(ub, 0.0, out=ub)
@@ -618,7 +619,6 @@ class _PeakSearch:
         window_bound = bound[:, blocks]
         picked = np.zeros(window_bound.shape, dtype=bool)
         picked[rows] = window_bound[rows] >= (peak * (1.0 - 1e-6))[:, None]
-        ends = 1.0 / np.maximum(denom[:, -2:], _DENOM_FLOOR)
         while rows.size:
             keep = np.zeros((rows.size, bound.shape[1] + 2), dtype=bool)
             keep[:, blocks.start + 1:blocks.stop + 1] = picked[rows]
@@ -628,8 +628,9 @@ class _PeakSearch:
             rows, kept = rows[fits], kept[fits]
             if not rows.size:
                 break
-            grid, values = self._compact(ens[rows], np.flatnonzero(kept.any(axis=0)), ends[rows])
-            w = values[:, fov_window(grid, self.fov)]
+            grid, values = self._compact(ens[rows], np.flatnonzero(kept.any(axis=0)))
+            window = fov_window(grid, self.fov)
+            w = values[:, window]
             rest = np.max(window_bound[rows], axis=1, where=~picked[rows], initial=0.0)
             done = np.count_nonzero(_maxima(w) & (w > rest[:, None]), axis=1) >= count
             # run_point picks each trial by one call of experiments.pick_peaks,
@@ -637,7 +638,7 @@ class _PeakSearch:
             # own stages, the round's stacked pick rides on each spectrum for
             # that call to return, in place of run_point stacking the picks
             done_rows = np.flatnonzero(done)
-            picks = _pick_rows(grid, values[done_rows], count, self.fov)
+            picks = _pick_rows(grid, values[done_rows], count, self.fov, window)
             for i, est in zip(done_rows, picks):
                 found[rows[i]] = Pseudospectrum._trusted(grid, values[i], ((count, self.fov), est))
             rows = rows[~done]
@@ -646,18 +647,8 @@ class _PeakSearch:
             picked[rows] |= rank < 2 * np.count_nonzero(picked[rows], axis=1)[:, None]
         return found
 
-    def _compact(self, ens: np.ndarray, kept: np.ndarray,
-                 ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _compact(self, ens: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(grid, values): the spectra of the stack ens, one row of values
-        each, at the columns of the `kept` blocks, between the table's first
-        and last column with their values `ends`."""
+        each, at the columns of the `kept` blocks."""
         cols = self._columns[kept].ravel()
-        table = np.take(self.steering, cols, axis=1)
-        # ends[:, :0] and ends[:, 2:] are empty where a kept block holds that end
-        lo, hi = int(cols[0] > 0), int(cols[-1] < self.grid.size - 1)
-        values = np.empty((len(ens), lo + cols.size + hi))
-        values[:, :lo], values[:, lo + cols.size:] = ends[:, :lo], ends[:, 2 - hi:]
-        mid = values[:, lo:lo + cols.size]
-        _grouped_denominators(ens, table, mid)
-        np.divide(1.0, np.maximum(mid, _DENOM_FLOOR, out=mid), out=mid)
-        return self.grid[np.concatenate((self._ends[:lo], cols, self._ends[2 - hi:]))], values
+        return self.grid[cols], _spectrum(ens, np.take(self.steering, cols, axis=1))

@@ -83,17 +83,13 @@ class _TrialEngine:
 
     def __init__(self, config: ExperimentConfig):
         self.cfg = config
-        self.geometry = config.resolve_geometry()
-        self.pattern = config.nominal_pattern()
-        self.nominal = make_manifold(self.geometry, self.pattern)
-        self.perturbation = config.perturbation()
+        self.nominal = make_manifold(config.array_geometry, config.nominal_pattern)
         grid = azimuth_grid(config.grid_step_deg)
         self.grid = grid[_scan_slice(grid, config.fov_deg)]
         if config.estimator == "coarray-music":
-            self.steering = virtual_steering(self.geometry.aperture, self.grid)
+            self.steering = virtual_steering(config.array_geometry.aperture, self.grid)
         else:
             self.steering = steering_matrix(self.nominal, self.grid)
-        self.coupling = config._coupling
 
     @functools.cached_property
     def search(self) -> _PeakSearch:
@@ -102,7 +98,7 @@ class _TrialEngine:
         return _PeakSearch(self.grid, self.steering, self.cfg.fov_deg)
 
     def _coupled(self, a: np.ndarray) -> np.ndarray:
-        return a if self.coupling is None else self.coupling @ a
+        return a if self.cfg.coupling is None else self.cfg.coupling @ a
 
     @functools.cached_property
     def _rng(self) -> np.random.Generator:
@@ -119,7 +115,8 @@ class _TrialEngine:
         _CHUNK_BYTES whatever their width (_grouped_denominators), and one
         trial's full scan, (rows - L) * columns * itemsize bytes: 2,016,112
         for ten sources on mra8's coarray at 0.01 degree steps."""
-        per_trial = max(_trial_bytes(sources, self.geometry.element_count, self.cfg.snapshots),
+        per_trial = max(_trial_bytes(sources, self.cfg.array_geometry.element_count,
+                                     self.cfg.snapshots),
                         _PeakSearch.row_bytes(self.steering))
         return max(1, min(_SEED_CHUNK, _CHUNK_BYTES // per_trial))
 
@@ -145,18 +142,18 @@ class _TrialEngine:
         cfg = self.cfg
         scenario = cfg.scenarios[index]
         l, k = scenario.source_count, cfg.snapshots
-        n = self.geometry.element_count
-        ramp = phase_ramp(self.geometry, scenario.angles)
-        perturbed = not self.perturbation.is_zero
+        n = cfg.array_geometry.element_count
+        ramp = phase_ramp(cfg.array_geometry, scenario.angles)
+        perturbed = not cfg.perturbation.is_zero
         if not perturbed:
-            steering = self._coupled(evaluate(self.pattern, scenario.angles) * ramp)
+            steering = self._coupled(evaluate(cfg.nominal_pattern, scenario.angles) * ramp)
         size = self._chunk(l)
         for start in range(0, len(trials), size):
             snaps, elements = _stream_states(cfg.seed, index, trials[start:start + size],
                                              n if perturbed else 0)
             b = len(snaps)
             if perturbed:
-                gains = perturbed_gains(self.pattern, self.perturbation,
+                gains = perturbed_gains(cfg.nominal_pattern, cfg.perturbation,
                                         loaded(self._rng, elements), scenario.angles,
                                         rows=b * n)
                 steering = self._coupled(gains.reshape(b, n, l) * ramp)
@@ -168,7 +165,7 @@ class _TrialEngine:
             # the draws are not kept while the chunk's search runs
             del sr, nr
             if cfg.estimator == "coarray-music":
-                yield _coarray_noise(_lag_smoothing(r, self.geometry), l)
+                yield _coarray_noise(_lag_smoothing(r, cfg.array_geometry), l)
             else:
                 yield np.linalg.eigh(r)[1][..., :n - l]
 

@@ -10,12 +10,27 @@ the stream pin tests and the bit-identity tests depend on both.
 
 The acceptance tests record one checklist line each; re-emit them in the
 terminal summary so they are visible without -s.
+
+When a property test fails, hypothesis imports hypothesis.extra._patching
+to suggest an @example, and with it libcst, whose import warns through
+mypy_extensions. With warnings as errors (pyproject.toml, or -W error,
+which overrides a filter there) that warning aborts the whole run, so the
+module is imported here first with that one warning ignored.
 """
 import os
+import warnings
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 for _var in _BLAS_THREADS:
     os.environ.setdefault(_var, "1")
+
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                            category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # hypothesis without its patching extra
+        pass
 
 acceptance_lines: list = []
 

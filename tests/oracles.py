@@ -105,10 +105,9 @@ def loop_coarray_smoothed(r: np.ndarray, positions) -> np.ndarray:
 
 
 def evaluated_values_equal(pruned, full) -> bool:
-    """Whether a pruned spectrum is the full scan, or lies on its grid and
-    holds its values, bit for bit, at every column of each whole 16-column
-    block it holds. Only its two end columns may lie outside such a block:
-    those carry another product's rounding."""
+    """Whether a pruned spectrum is the full scan, or lies on its grid, holds
+    only whole 16-column blocks of it, and holds its values at every column,
+    bit for bit."""
     block = 16
     if pruned.grid.size == full.grid.size:
         return (np.array_equal(pruned.grid, full.grid)
@@ -117,9 +116,8 @@ def evaluated_values_equal(pruned, full) -> bool:
     if idx[-1] >= full.grid.size or not np.array_equal(full.grid[idx], pruned.grid):
         return False
     blocks = idx // block
-    whole = np.bincount(blocks)[blocks] == block
-    return bool(whole[1:-1].all()) and np.array_equal(pruned.values[whole],
-                                                      full.values[idx[whole]])
+    return bool((np.bincount(blocks)[blocks] == block).all()
+                and np.array_equal(pruned.values, full.values[idx]))
 
 
 def complex_synthesize(steering, snr_db, sr, nr) -> np.ndarray:

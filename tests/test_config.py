@@ -59,7 +59,7 @@ def test_parse_geometry_position_list():
     cfg = parse_config_text("family = fixed-scenario\ngeometry = [0, 1, 4, 6]\n"
                             "manifold.pattern = isotropic\n")
     assert cfg.geometry == (0, 1, 4, 6)
-    assert cfg.resolve_geometry().aperture == 6
+    assert cfg.array_geometry.aperture == 6
 
 
 def test_parse_reports_line_numbers():
@@ -119,7 +119,7 @@ def test_serialized_table_name_reads_back(tmp_path, monkeypatch, name):
     assert f"manifold.pattern.file = {json.dumps(name)}\n" in text
     again = parse_config_text(text)
     assert again == cfg and again.pattern_params["file"] == name
-    assert again.nominal_pattern().samples == cfg.nominal_pattern().samples
+    assert again.nominal_pattern.samples == cfg.nominal_pattern.samples
     assert serialize_config(again) == text
 
 
@@ -534,5 +534,5 @@ def test_tabulated_fingerprint_hashes_table_rows(tmp_path):
     assert edited.fingerprint() != first.fingerprint()
     assert same_rows.fingerprint() == first.fingerprint()
     # the rows read at parse time are the ones a run uses
-    assert first.nominal_pattern().samples[1] == (0.0, 3.0, 10.0)
-    assert edited.nominal_pattern().samples[1] == (0.0, 3.5, 10.0)
+    assert first.nominal_pattern.samples[1] == (0.0, 3.0, 10.0)
+    assert edited.nominal_pattern.samples[1] == (0.0, 3.5, 10.0)

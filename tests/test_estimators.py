@@ -250,9 +250,10 @@ def test_public_spectra_carry_no_attached_pick():
     assert Pseudospectrum._trusted(grid.copy(), vals.copy())._pick is None
     # a spectrum rebuilt from an attached one, with its values or others,
     # goes through the constructor and so carries none
-    assert _fresh(attached)._pick is None
+    fresh = Pseudospectrum(attached.grid, attached.values)
+    assert fresh._pick is None
     assert dataclasses.replace(attached, values=vals * 2.0)._pick is None
-    assert pick_peaks(_fresh(attached), 2, 30.0) == pick_peaks(Pseudospectrum(grid, vals), 2, 30.0)
+    assert pick_peaks(fresh, 2, 30.0) == pick_peaks(Pseudospectrum(grid, vals), 2, 30.0)
 
 
 def _bits(angles):
@@ -286,9 +287,9 @@ def test_pick_rows_equals_loop_picker_and_pick_peaks(stack, size, count, fov):
     # pick_peaks give it alone, bit for bit
     grid = np.linspace(-90.0, 90.0, size)
     values = np.array([[_PICK_LEVELS[v] for v in row[:size]] for row in stack])
-    got = estimators._pick_rows(grid, values, count, fov)
-    assert len(got) == len(values)
     window = fov_window(grid, fov)
+    got = estimators._pick_rows(grid, values, count, fov, window)
+    assert len(got) == len(values)
     for est, row in zip(got, values):
         angles, found = loop_pick(grid, row, count, fov)
         assert _bits(est.angles) == _bits(angles)
@@ -629,25 +630,30 @@ def test_scan_slice_is_block_aligned_and_covers_the_guarded_window():
         assert cut.start > window.start - 16 and cut.stop < window.stop + 16
 
 
-def _fresh(spectrum):
-    """The spectrum through the public constructor, which attaches no pick:
-    pick_peaks on it picks from its values."""
-    return Pseudospectrum(spectrum.grid, spectrum.values)
+def _matches_full_scan(spectrum, full, count, fov):
+    """The estimates pick_peaks takes from a spectrum the search gave,
+    checked equal to its pick on the full scan; a certified compact
+    spectrum must also hold the full scan's values at each of its columns,
+    and give its attached pick from those values alone (loop_pick)."""
+    got = pick_peaks(spectrum, count, fov)
+    assert got == pick_peaks(full, count, fov)
+    assert evaluated_values_equal(spectrum, full)
+    certified = spectrum.grid.size < full.grid.size
+    assert (spectrum._pick is not None) == certified
+    if certified:
+        assert loop_pick(spectrum.grid, spectrum.values, count, fov) == (got.angles, count)
+    return got
 
 
 def _pruned_and_full(vals, count, fov=89.0, grid=None):
-    """The estimates picked from the pruned search's spectrum, checked equal
-    to pick_peaks on the full spectrum, and whether the search returned the
-    full scan."""
+    """The estimates picked from the pruned search's spectrum, checked
+    against the full spectrum, and whether the search returned the full
+    scan."""
     grid = _scan_grid(fov) if grid is None else grid
     search, en, table = _hand_search(grid, vals, fov)
     full = Pseudospectrum(grid, estimators._spectrum(en, table))
     [spectrum] = search.spectra(en[None], count)
-    got = pick_peaks(spectrum, count, fov)
-    assert got == pick_peaks(full, count, fov) == pick_peaks(_fresh(spectrum), count, fov)
-    assert spectrum.grid[0] == grid[0] and spectrum.grid[-1] == grid[-1]
-    assert evaluated_values_equal(spectrum, full)
-    return got, int(spectrum.grid.size == grid.size)
+    return _matches_full_scan(spectrum, full, count, fov), int(spectrum.grid.size == grid.size)
 
 
 @pytest.mark.parametrize("count, picked", [(1, [600]), (3, [10, 600, 1200])])
@@ -705,8 +711,8 @@ def test_pruned_search_leaves_partial_last_block_to_full_scan(monkeypatch):
     compacts = []
     compact = estimators._PeakSearch._compact
 
-    def recording_compact(self, noise, blocks, *args):
-        compacts.append((blocks, *compact(self, noise, blocks, *args)))
+    def recording_compact(self, noise, blocks):
+        compacts.append((blocks, *compact(self, noise, blocks)))
         return compacts[-1][1:]
 
     monkeypatch.setattr(estimators._PeakSearch, "_compact", recording_compact)
@@ -745,9 +751,9 @@ def _count_rounds(monkeypatch):
     rounds = []
     original = estimators._PeakSearch._compact
 
-    def counting(self, *args):
-        rounds.append(args)
-        return original(self, *args)
+    def counting(self, ens, kept):
+        rounds.append((ens, kept))
+        return original(self, ens, kept)
 
     monkeypatch.setattr(estimators._PeakSearch, "_compact", counting)
     return rounds
@@ -807,14 +813,13 @@ def test_pruned_search_bound_holds_where_it_is_tight():
 
 @settings(max_examples=100, deadline=None)
 @given(trials=st.integers(1, 200), columns=st.integers(2, 14), extra=st.integers(1, 10),
-       size=st.integers(1, 120), real=st.booleans(), into_view=st.booleans(),
-       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
-def test_grouped_denominators_match_one_product(trials, columns, extra, size, real,
-                                                into_view, data, seed):
+       size=st.integers(1, 120), real=st.booleans(), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_grouped_denominators_match_one_product(trials, columns, extra, size, real, data,
+                                                seed):
     # the search's bound and union products run in groups of rows under a
     # byte cap; every row must equal one product of the whole stack bit for
-    # bit, on real (coarray) and complex (element) tables, whether the
-    # groups write a fresh array or a column slice of a wider one
+    # bit, on real (coarray) and complex (element) tables
     rng = np.random.default_rng(seed)
     rows = columns + extra
 
@@ -827,19 +832,16 @@ def test_grouped_denominators_match_one_product(trials, columns, extra, size, re
     expected = estimators._denominators(ens, table)
     group = data.draw(st.integers(1, trials))
     row_bytes = columns * size * np.result_type(ens, table).itemsize
-    out = np.full((trials, size + 3), np.nan)[:, 1:1 + size] if into_view else None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_CHUNK_BYTES", 2 * group * row_bytes)
         calls = []
         denominators = estimators._denominators
         mp.setattr(estimators, "_denominators",
                    lambda e, t: calls.append(len(e)) or denominators(e, t))
-        got = estimators._grouped_denominators(ens, table, out)
+        got = estimators._grouped_denominators(ens, table)
     assert calls == [min(group, trials - i) for i in range(0, trials, group)]
     assert got.shape == (trials, size) and got.dtype == float
     assert np.array_equal(got, expected)
-    if into_view:
-        assert np.array_equal(out, expected)
 
 def _stacked_hand_search(grid, rows, fov):
     # _hand_search for a chunk: row i of the table is 1 / sqrt(rows[i]) over
@@ -860,11 +862,8 @@ def _chunk_matches_full_scans(grid, rows, count, fov):
     spectra = list(search.spectra(ens, count))
     assert len(spectra) == len(rows)
     for spectrum, en in zip(spectra, ens):
-        full = Pseudospectrum(grid, estimators._spectrum(en, table))
-        want = pick_peaks(full, count, fov)
-        assert pick_peaks(spectrum, count, fov) == want == pick_peaks(_fresh(spectrum), count, fov)
-        assert spectrum.grid[0] == grid[0] and spectrum.grid[-1] == grid[-1]
-        assert evaluated_values_equal(spectrum, full)
+        _matches_full_scan(spectrum, Pseudospectrum(grid, estimators._spectrum(en, table)),
+                           count, fov)
     return [spectrum.grid.size == grid.size for spectrum in spectra]
 
 
@@ -925,7 +924,7 @@ def test_pruned_search_certifies_a_mixed_chunk(monkeypatch):
     rounds = _count_rounds(monkeypatch)
     fallbacks = _chunk_matches_full_scans(grid, rows, 2, 90.0)
     assert fallbacks == [False, False, True, True, False]
-    (ens, union, _), (again, _, _) = rounds
+    (ens, union), (again, _) = rounds
     assert len(ens) == 3 and 2 * union.size > -(-size // 16)
     assert len(again) == 1
 

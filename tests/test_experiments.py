@@ -21,7 +21,7 @@ from doasim.manifold import (ArrayManifold, apply_coupling_model, generate_snaps
                              make_manifold, sample_covariance, steering_matrix)
 from doasim.patterns import export_tabulated, make_vivaldi, perturb
 
-from oracles import best_pairing_rmse, evaluated_values_equal
+from oracles import best_pairing_rmse, evaluated_values_equal, loop_pick
 
 
 # -------------------------------------------------------------------- rmse
@@ -283,9 +283,11 @@ def test_config_builds_nonideality_objects_once(monkeypatch):
     run_point(cfg, 0, engine=engine)
     run_sweep(cfg)
     assert calls == []
-    assert engine.coupling is cfg._coupling is not None
-    assert engine.perturbation is cfg.perturbation()
-    assert engine.geometry is cfg.resolve_geometry()
+    assert cfg.coupling is not None and not cfg.perturbation.is_zero
+    assert engine.nominal.geometry is cfg.array_geometry
+    for name in ("array_geometry", "nominal_pattern", "perturbation", "coupling"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, None)
 
 
 def test_config_builds_each_scenario_once(monkeypatch):
@@ -373,9 +375,9 @@ def test_run_point_rejects_engine_of_other_config():
 def _replay_data_manifold(cfg: ExperimentConfig, pert_seq) -> ArrayManifold:
     """One trial's data-side manifold from public functions only: a perturbed
     copy of the nominal pattern per child of pert_seq, then the coupling."""
-    geom = cfg.resolve_geometry()
-    nominal = cfg.nominal_pattern()
-    pert = cfg.perturbation()
+    geom = cfg.array_geometry
+    nominal = cfg.nominal_pattern
+    pert = cfg.perturbation
     pats = [nominal] * geom.element_count
     if pert.phase_noise_std_deg > 0 or pert.param_tolerance > 0:
         pats = [perturb(nominal, pert, np.random.default_rng(c))
@@ -418,7 +420,7 @@ def test_engine_window_scan_matches_full_grid(estimator, fov, step):
                                    cfg.snapshots, np.random.default_rng(snap_seq))
         r = sample_covariance(snaps)
         if estimator == "coarray-music":
-            full = coarray_music(r, engine.geometry, 3, grid)
+            full = coarray_music(r, cfg.array_geometry, 3, grid)
         else:
             full = music_pseudospectrum(r, engine.nominal, 3, grid)
         start = int(np.searchsorted(grid, spectrum.grid[0]))
@@ -484,7 +486,7 @@ def test_engine_data_steering_matches_public_replay(table_file, kind, c1, phase_
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "_synthesize", recording)
         next(engine.noise(0, trials))
-    assert len(seen) == (1 if cfg.perturbation().is_zero else len(trials))
+    assert len(seen) == (1 if cfg.perturbation.is_zero else len(trials))
     for t, steering in zip(trials, itertools.cycle(seen)):
         replay = _replay_data_manifold(cfg, _trial_streams(cfg, 0, t)[0])
         assert np.array_equal(steering, steering_matrix(replay, scenario.angles))
@@ -562,9 +564,9 @@ def test_chunks_of_benchmark_shapes_stay_under_the_byte_cap(monkeypatch, chunk, 
         bound_groups.append(table is refs)
         return denominators(ens, table)
 
-    def recording_compact(self, ens, kept, ends):
+    def recording_compact(self, ens, kept):
         unions.append(kept.size)
-        return compact(self, ens, kept, ends)
+        return compact(self, ens, kept)
 
     # sizes only: arrays held here would count in the traced peak
     def recording_synthesize(steering, snr_db, sr, nr):
@@ -645,7 +647,8 @@ def test_element_point_of_several_chunks_replays_each_trial(monkeypatch):
 def test_sweep_picks_each_trial_once_through_experiments_pick_peaks(monkeypatch, cfg):
     # a sweep picks every trial with one call of experiments.pick_peaks, the
     # name the benchmark's corrupted-estimate check patches, on a spectrum
-    # whose picks are those of the trial's full scan
+    # whose picks are those of the trial's full scan; a certified compact
+    # spectrum holds the full scan's values and gives its pick from them
     calls = []
 
     def recording(spectrum, count, fov_deg):
@@ -671,8 +674,8 @@ def test_sweep_picks_each_trial_once_through_experiments_pick_peaks(monkeypatch,
         assert (spectrum._pick is not None) == certified
         if certified:
             assert spectrum._pick[0] == (l, cfg.fov_deg) and spectrum._pick[1] == expected
-            fresh = Pseudospectrum(spectrum.grid, spectrum.values)
-            assert pick_peaks(fresh, l, fov) == expected
+            assert loop_pick(spectrum.grid, spectrum.values, l, fov) == (expected.angles, l)
+            assert evaluated_values_equal(spectrum, want)
     # the contract covers the certified compact spectra, not only full scans
     assert any(spectrum.grid.size < engine.grid.size for spectrum, _, _ in calls)
 
