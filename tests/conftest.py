@@ -5,8 +5,11 @@ work by column count, so with more threads a windowed scan could differ
 from a full-grid scan in the last bits. An explicit setting in the
 environment still wins.
 
-The header names the numpy and BLAS a run used, with the thread settings:
-the stream pin tests and the bit-identity tests depend on both.
+The header names the stack a run used: numpy, its BLAS, the SIMD targets
+numpy dispatches to on this CPU, and the thread settings. The stream pin
+tests, the bit-identity tests and the pinned outputs depend on all four:
+numpy's SIMD loops round some functions differently on different targets
+(AVX-512 among them), so versions alone do not identify a stack.
 
 The acceptance tests record one checklist line each; re-emit them in the
 terminal summary so they are visible without -s.
@@ -35,15 +38,22 @@ with warnings.catch_warnings():
 acceptance_lines: list = []
 
 
-def pytest_report_header(config):
+def stack() -> str:
+    """The Tier-1 header's line: numpy, BLAS, SIMD targets and threads."""
     import numpy as np
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = np.show_config(mode="dicts")
+        blas = build["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
-    except (TypeError, KeyError):  # numpy before 1.25 has no dict mode
-        blas = "unknown"
+        simd = " ".join(build["SIMD Extensions"]["found"])
+    except (ImportError, TypeError, KeyError):  # numpy before 1.25 has no dict mode
+        blas = simd = "unknown"
     threads = " ".join(f"{v}={os.environ.get(v)}" for v in _BLAS_THREADS)
-    return f"numpy {np.__version__}, BLAS {blas}, {threads}"
+    return f"numpy {np.__version__}, BLAS {blas}, SIMD {simd}, {threads}"
+
+
+def pytest_report_header(config):
+    return stack()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
