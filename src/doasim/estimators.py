@@ -403,10 +403,12 @@ def pick_peaks(spectrum: Pseudospectrum, count: int,
 def _pick_rows(grid: np.ndarray, values: np.ndarray, count: int, fov: float,
                window: slice) -> list[DoaEstimateSet]:
     """pick_peaks(Pseudospectrum(grid, row), count, fov) for every row of the
-    stack values (B, grid.size), in one pass and without its checks or
-    fills, given window = fov_window(grid, fov): a row with fewer than
-    `count` maxima in the window gives them all, with peaks_found saying
-    how many. Each peak off the grid edges moves to the vertex of the
+    stack values (B, grid.size), a stack of one included, in one pass and
+    without its checks or fills, given window = fov_window(grid, fov). One
+    lexsort orders all the stack's maxima by row, then by value descending,
+    then as pick_peaks ranks equal values, and each row keeps its first
+    `count`: a row with fewer maxima in the window gives them all, with
+    peaks_found saying how many. Each peak off the grid edges moves to the vertex of the
     parabola through the logs of its value and its two grid neighbours'
     values, by at most half a step, unless the curvature is within the
     rounding of the three logs; the array operations repeat, value by
@@ -414,35 +416,16 @@ def _pick_rows(grid: np.ndarray, values: np.ndarray, count: int, fov: float,
     loop_pick)."""
     w = values[:, window]
     n = w.shape[1]
-    if len(w) == 1:
-        # one row needs no row key: its maxima in pick order for equal values
-        # (interior ones by index, the window start, the window end), then a
-        # stable sort by value descending of those at or above the count-th
-        # largest value, as no other one can win. The stacked ordering below
-        # sorts every maximum, and takes about six times as long on a
-        # noise-like row with thousands of them
-        mask = _maxima(w[0])
-        ends = [i for i in (0, n - 1) if n and mask[i]]
-        maxima = np.concatenate((np.flatnonzero(mask[1:-1]) + 1, np.array(ends, dtype=np.intp)))
-        found = np.array([maxima.size])
-        top = w[0, maxima]
-        if maxima.size > count:
-            keep = top >= np.partition(top, maxima.size - count)[maxima.size - count]
-            maxima, top = maxima[keep], top[keep]
-        order = np.argsort(-top, kind="stable")[:count]
-        rows, i, place = np.zeros(order.size, dtype=np.intp), maxima[order], np.arange(order.size)
-    else:
-        # np.nonzero of a 2-d mask takes several times as long
-        rows, idx = np.divmod(np.flatnonzero(_maxima(w)), n)
-        # pick order: by row, then value descending, then interior maxima by
-        # index, the window start, the window end
-        tie = np.where(idx == 0, n, np.where(idx == n - 1, n + 1, idx))
-        order = np.lexsort((tie, -w[rows, idx], rows))
-        found = np.bincount(rows, minlength=len(w))
-        # each maximum's place in its row's pick order
-        place = np.arange(rows.size) - np.repeat(np.cumsum(found) - found, found)
-        keep = place < count
-        rows, i, place = rows[order[keep]], idx[order[keep]], place[keep]
+    # np.nonzero of a 2-d mask takes several times as long
+    rows, idx = np.divmod(np.flatnonzero(_maxima(w)), n)
+    # equal values rank interior maxima by index, the window start, the end
+    tie = np.where(idx == 0, n, np.where(idx == n - 1, n + 1, idx))
+    order = np.lexsort((tie, -w[rows, idx], rows))
+    found = np.bincount(rows, minlength=len(w))
+    # each maximum's place in its row's pick order
+    place = np.arange(rows.size) - np.repeat(np.cumsum(found) - found, found)
+    keep = place < count
+    rows, i, place = rows[order[keep]], idx[order[keep]], place[keep]
     i = i + window.start
     at = np.minimum(np.maximum(i[:, None] + np.arange(-1, 2), 0), grid.size - 1)
     ym, y0, yp = np.log(values[rows[:, None], at]).T

@@ -282,6 +282,9 @@ _PICK_LEVELS = (1.0, 2.0, 4.0, 3.0)
 # a window that holds no grid point, for one row and for a stack
 @example(stack=[[0] * 24], size=4, count=1, fov=1.0)
 @example(stack=[[0] * 24, [1] * 24], size=4, count=2, fov=1.0)
+# an interior maximum that ties both window ends, in one row: count 2 takes
+# the interior one, then the window start, and leaves the window end
+@example(stack=[[3, 0, 3, 0, 3] + [0] * 19], size=5, count=2, fov=90.0)
 def test_pick_rows_equals_loop_picker_and_pick_peaks(stack, size, count, fov):
     # the stacked picker gives every row what the brute-force picker and
     # pick_peaks give it alone, bit for bit
