@@ -244,20 +244,25 @@ def evaluate(pattern: ElementPattern, azimuth_deg) -> np.ndarray:
     return g[0] if np.ndim(azimuth_deg) == 0 else g
 
 
-def _draw(kind: str, perturbation: PatternPerturbation, rngs, rows: int,
+def _draw(pattern: ElementPattern, perturbation: PatternPerturbation, rngs, rows: int,
           nodes: int = _NOISE_GRID.size) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The raw deviation draws of `rows` elements, one row each: a (rows, k)
-    array of uniforms on [0, 1) for the k shape-parameter scales, then a
-    (rows, nodes) array of standard normals for the first `nodes` points of
-    the phase-noise grid. Either is None when switched off; _deviation maps
-    them. Row i is drawn, in that fixed order, by the i-th generator of
-    `rngs`, before the next one is taken; fewer than `rows` generators
-    raise ValueError. A generator's first `nodes` normals are those of its
-    draw of the whole grid, so a prefix that holds every node _interp_noise
-    reads gives the same gains."""
+    """The raw deviation draws of `rows` copies of `pattern`, one row each: a
+    (rows, k) array of uniforms on [0, 1) for the k shape-parameter scales,
+    then a (rows, nodes) array of standard normals for the first `nodes`
+    points of the phase-noise grid. Either is None when switched off;
+    _deviation maps them. Row i is drawn, in that fixed order, by the i-th
+    generator of `rngs`, before the next one is taken; fewer than `rows`
+    generators raise ValueError. A generator's first `nodes` normals are
+    those of its draw of the whole grid, so a prefix that holds every node
+    _interp_noise reads gives the same gains. A pattern that already carries
+    phase noise raises PatternError before anything is drawn: a copy built
+    from new draws would drop that noise, not add to it."""
+    if pattern.phase_noise_deg is not None:
+        raise PatternError("cannot perturb a pattern that already carries phase noise",
+                           "phase_noise_deg")
     u = z = None
     if perturbation.param_tolerance > 0.0:
-        u = np.empty((rows, len(_SHAPE_PARAMS[kind])))
+        u = np.empty((rows, len(_SHAPE_PARAMS[pattern.kind])))
     if perturbation.phase_noise_std_deg > 0.0:
         z = np.empty((rows, nodes))
     i = -1
@@ -295,11 +300,12 @@ def perturb(pattern: ElementPattern, perturbation: PatternPerturbation,
 
     Draw order is fixed (shape parameter scales, then the whole phase-noise
     grid) so a given rng state maps to exactly one perturbed pattern. Zero
-    perturbation returns a pattern that evaluates bit-identically.
+    perturbation returns a pattern that evaluates bit-identically. Any other
+    raises PatternError on a pattern that already carries phase noise.
     """
     if perturbation.is_zero:
         return pattern
-    scales, noise = _deviation(perturbation, *_draw(pattern.kind, perturbation, [rng], 1))
+    scales, noise = _deviation(perturbation, *_draw(pattern, perturbation, [rng], 1))
     params = _scaled(pattern, () if scales is None else scales[0])
     return ElementPattern(pattern.kind, params, pattern.samples,
                           None if noise is None else tuple(noise[0]))
@@ -318,7 +324,9 @@ def perturbed_gains(pattern: ElementPattern, perturbation: PatternPerturbation,
     With `rows` = N given, each generator makes its draws before the next is
     taken, so one generator may come back reloaded, as the trial engine's
     streams do, and fewer than N generators raise ValueError; without it,
-    `rngs` is read into a list first.
+    `rngs` is read into a list first. As with perturb, a pattern that
+    already carries phase noise raises PatternError unless the perturbation
+    is zero.
     """
     az = _azimuths(azimuth_deg)
     if rows is None:
@@ -326,7 +334,7 @@ def perturbed_gains(pattern: ElementPattern, perturbation: PatternPerturbation,
         rows = len(rngs)
     if perturbation.is_zero:
         return np.broadcast_to(evaluate(pattern, az), (rows, az.size))
-    scales, noise = _deviation(perturbation, *_draw(pattern.kind, perturbation, rngs, rows,
+    scales, noise = _deviation(perturbation, *_draw(pattern, perturbation, rngs, rows,
                                                     _noise_nodes(az)))
     params = pattern.params
     if scales is not None:

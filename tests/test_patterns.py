@@ -267,6 +267,27 @@ def test_perturb_tabulated_gets_phase_noise_only():
     assert np.allclose(np.abs(evaluate(q, DENSE)), np.abs(evaluate(p, DENSE)))
 
 
+@pytest.mark.parametrize("pert", [PatternPerturbation(0.0, 0.05), PatternPerturbation(3.0, 0.0),
+                                  PatternPerturbation(3.0, 0.05)],
+                         ids=["tolerance", "phase-noise", "both"])
+def test_perturbing_a_phase_noised_pattern_is_rejected(pert):
+    # new draws would replace the pattern's phase noise, not add to it; a
+    # perturbation that draws nothing leaves the pattern as it is
+    p = perturb(make_patch(), PatternPerturbation(5.0, 0.0), np.random.default_rng(1))
+    assert np.angle(evaluate(p, 10.0)) != 0.0
+    with pytest.raises(PatternError, match="phase noise") as info:
+        perturb(p, pert, np.random.default_rng(2))
+    assert info.value.param == "phase_noise_deg"
+    rngs = iter([np.random.default_rng(2)])
+    with pytest.raises(PatternError, match="phase noise") as info:
+        perturbed_gains(p, pert, rngs, [10.0], rows=1)
+    assert info.value.param == "phase_noise_deg"
+    assert next(rngs).random() == np.random.default_rng(2).random()  # nothing drawn
+    assert perturb(p, PatternPerturbation(), np.random.default_rng(2)) is p
+    assert np.array_equal(perturbed_gains(p, PatternPerturbation(), [None], [10.0]),
+                          [[evaluate(p, 10.0)]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(tol=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        std=st.floats(-323.0, 300.0).map(lambda e: 10.0 ** e), k=st.integers(1, 4),
