@@ -45,7 +45,8 @@ def stack() -> str:
         build = np.show_config(mode="dicts")
         blas = build["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
-        simd = " ".join(build["SIMD Extensions"]["found"])
+        # numpy omits "found" when it dispatches to no target past its baseline
+        simd = " ".join(build["SIMD Extensions"].get("found", ())) or "none"
     except (ImportError, TypeError, KeyError):  # numpy before 1.25 has no dict mode
         blas = simd = "unknown"
     threads = " ".join(f"{v}={os.environ.get(v)}" for v in _BLAS_THREADS)
