@@ -408,12 +408,12 @@ def _pick_rows(grid: np.ndarray, values: np.ndarray, count: int, fov: float,
     lexsort orders all the stack's maxima by row, then by value descending,
     then as pick_peaks ranks equal values, and each row keeps its first
     `count`: a row with fewer maxima in the window gives them all, with
-    peaks_found saying how many. Each peak off the grid edges moves to the vertex of the
-    parabola through the logs of its value and its two grid neighbours'
-    values, by at most half a step, unless the curvature is within the
-    rounding of the three logs; the array operations repeat, value by
-    value, the float operations of one peak alone (tests/oracles.py's
-    loop_pick)."""
+    peaks_found saying how many. Each peak off the grid edges moves to the
+    vertex of the parabola through the logs of its value and its two grid
+    neighbours' values, by at most half a step, unless the curvature is
+    within the rounding of the three logs; the array operations repeat,
+    value by value, the float operations of one peak alone
+    (tests/oracles.py's loop_pick)."""
     w = values[:, window]
     n = w.shape[1]
     # np.nonzero of a 2-d mask takes several times as long

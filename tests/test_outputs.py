@@ -14,7 +14,7 @@ or, as a number, lie within REL_TOL of it, relatively; the SVGs, which
 draw those numbers, are not compared.
 
 REL_TOL is sqrt(eps), about 1.5e-8: a number that moves further has lost
-half its digits, which a change of rounding u = eps/2 alone does only
+half its digits, which rounding changes of about eps per operation do only
 through a condition number above 1/sqrt(eps), about 6.7e7. A pick that
 flips to another maximum moves an angle by a peak spacing, and an RMSE by
 far more than that. Either is a finding to report, not a tolerance to
